@@ -50,6 +50,10 @@ class BootstrapError(KeycubeError):
     """A node could not be brought up (typically a wire-mode bind failure)."""
 
 
+class BadRequest(KeycubeError):
+    """A wire request or envelope is malformed: bad JSON, a missing or mistyped field."""
+
+
 # --- content gateway --------------------------------------------------------
 
 class ContentNotFound(KeycubeError):
@@ -146,6 +150,7 @@ _WIRE_CODES: dict[str, type[KeycubeError]] = {
         NotResponsible,
         RoutingFailure,
         BootstrapError,
+        BadRequest,
     )
 }
 

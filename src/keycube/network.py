@@ -29,6 +29,7 @@ from urllib.parse import parse_qs, urlparse
 import requests
 
 from .errors import (
+    BadRequest,
     BootstrapError,
     KeycubeError,
     RoutingFailure,
@@ -36,7 +37,7 @@ from .errors import (
     raise_from_payload,
 )
 from .node import NodeState, ObjectRecord
-from .query import LogicalNode, QueryResult
+from .query import ENVELOPE_FIELDS, LogicalNode, QueryResult
 from .topology import (
     HashFn,
     KeywordSet,
@@ -135,10 +136,9 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _body(self) -> dict:
+    def _raw_body(self) -> bytes:
         length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b"{}"
-        return json.loads(raw)
+        return self.rfile.read(length) if length else b"{}"
 
     def _run(self, fn) -> None:
         try:
@@ -160,27 +160,59 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
             self._run(lambda: node.client_pin(KeywordSet(keywords)))
         elif url.path == "/superset":
             keywords = _split_keywords(params.get("keywords", [""])[0])
-            limit = int(params.get("limit", ["10"])[0])
-            self._run(lambda: node.client_superset(KeywordSet(keywords), limit))
+            limit = params.get("limit", ["10"])[0]
+            self._run(lambda: node.client_superset(KeywordSet(keywords), _limit(limit)))
         else:
             self._send(404, {"error": "NotFound", "detail": self.path})
 
     def do_POST(self):
         node = self.server.logical_node
         path = urlparse(self.path).path
-        try:
-            body = self._body()
-        except json.JSONDecodeError as exc:
-            self._send(400, {"error": "BadRequest", "detail": str(exc)})
-            return
+        raw = self._raw_body()
         if path == "/insert":
-            self._run(lambda: node.client_insert(body["cid"], KeywordSet(body["keywords"])))
+            self._run(lambda: node.client_insert(*_record(raw)))
         elif path == "/remove":
-            self._run(lambda: node.client_remove(body["cid"], KeywordSet(body["keywords"])))
+            self._run(lambda: node.client_remove(*_record(raw)))
         elif path == "/internal/forward":
-            self._run(lambda: node.handle_forward(body))
+            self._run(lambda: node.handle_forward(_envelope(raw)))
         else:
             self._send(404, {"error": "NotFound", "detail": self.path})
+
+
+# -- request decoding: every malformed request becomes a BadRequest (400) ----
+
+def _json_object(raw: bytes) -> dict:
+    try:
+        body = json.loads(raw)
+    except ValueError as exc:
+        raise BadRequest(str(exc)) from exc
+    if not isinstance(body, dict):
+        raise BadRequest(f"body must be a JSON object, got {type(body).__name__}")
+    return body
+
+
+def _check_fields(body: dict, fields: dict[str, type]) -> dict:
+    for key, kind in fields.items():
+        if not isinstance(body.get(key), kind):
+            raise BadRequest(f"field {key!r} must be {kind.__name__}, got {body.get(key)!r}")
+    return body
+
+
+def _record(raw: bytes) -> tuple[str, KeywordSet]:
+    body = _check_fields(_json_object(raw), {"cid": str, "keywords": list})
+    return body["cid"], KeywordSet(body["keywords"])
+
+
+def _envelope(raw: bytes) -> dict:
+    env = _check_fields(_json_object(raw), {"op": str, "visited": list})
+    return _check_fields(env, ENVELOPE_FIELDS.get(env["op"], {}))
+
+
+def _limit(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadRequest(f"limit must be an integer, got {raw!r}") from None
 
 
 def _split_keywords(raw: str) -> list[str]:
@@ -247,7 +279,7 @@ class Network:
             reply = wire_pin(self.cfg.address_of(start), keywords)
         else:
             reply = self.nodes[start].client_pin(keywords)
-        return QueryResult.from_reply(reply, self.cfg.r)
+        return QueryResult.from_reply(reply)
 
     def superset_search(self, start: NodeId, keywords, limit: int) -> QueryResult:
         keywords = _as_keywords(keywords)
@@ -255,7 +287,7 @@ class Network:
             reply = wire_superset(self.cfg.address_of(start), keywords, limit)
         else:
             reply = self.nodes[start].client_superset(keywords, limit)
-        return QueryResult.from_reply(reply, self.cfg.r)
+        return QueryResult.from_reply(reply)
 
     def route(self, start: NodeId, target: NodeId) -> QueryResult:
         """Deliver a ping from start to target; measures pure routing cost."""

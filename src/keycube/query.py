@@ -6,7 +6,9 @@ one hop and every handling node appends itself to the envelope's visited
 list. Superset searches switch at the responsible node into a sequential
 depth-first walk of the spanning tree over the bit-superset region,
 stopping as soon as the result quota is met. Tree edges are counted once,
-forward only; the walk-back is free.
+forward only; the walk-back is free. A tree edge carries back only its
+subtree's new cids and visited segment, which the parent appends, so a
+walk's work is linear in its hops.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .errors import KeycubeError
+from .errors import KeycubeError, RoutingFailure
 from .node import NodeState, ObjectRecord
 from .topology import (
     KeywordSet,
@@ -26,6 +28,17 @@ from .topology import (
 
 ROUTED_OPS = ("ping", "insert", "remove", "pin", "superset")
 
+# JSON type of each field an envelope must carry besides "op" and "visited".
+_ROUTED_FIELDS = {"target": str, "keywords": list, "hops": int}
+ENVELOPE_FIELDS: dict[str, dict[str, type]] = {
+    "ping": {"target": str, "hops": int},
+    "insert": {**_ROUTED_FIELDS, "cid": str},
+    "remove": {**_ROUTED_FIELDS, "cid": str},
+    "pin": _ROUTED_FIELDS,
+    "superset": {**_ROUTED_FIELDS, "limit": int},
+    "superset_visit": {"keywords": list, "limit": int, "collected": list},
+}
+
 
 @dataclass(frozen=True)
 class QueryResult:
@@ -36,7 +49,7 @@ class QueryResult:
     nodes_visited: tuple[NodeId, ...] = field(default=())
 
     @classmethod
-    def from_reply(cls, reply: dict, r: int) -> "QueryResult":
+    def from_reply(cls, reply: dict) -> "QueryResult":
         visited = tuple(NodeId.parse(t) for t in reply.get("visited", ()))
         return cls(tuple(reply["cids"]), int(reply["hops"]), visited)
 
@@ -157,10 +170,16 @@ class LogicalNode:
         }
 
     def _superset_visit(self, env: dict) -> dict:
-        """Visit one tree node: collect locally, then descend while short."""
+        """Visit one tree node: collect locally, then descend while short.
+
+        `collected` is every cid found so far, so duplicates across nodes are
+        dropped. The reply holds only what this subtree added: its new cids
+        and its visited segment, which starts at `env["visited"]`.
+        """
         keywords = KeywordSet(env["keywords"])
         limit = env["limit"]
         collected: list[str] = list(env["collected"])
+        found_before = len(collected)
         visited = env["visited"]
 
         # Local cap `limit` is enough even with cross-node duplicate cids:
@@ -176,20 +195,16 @@ class LogicalNode:
         if len(collected) < limit:
             query_bits = node_for_keywords(keywords, self.state.r, self.state.hash_fn)
             for child in superset_children(self.id, query_bits):
-                reply = self._forward(
-                    child,
-                    {
-                        "op": "superset_visit",
-                        "keywords": list(keywords),
-                        "limit": limit,
-                        "collected": collected,
-                        "visited": visited,
-                        "hops": 0,
-                    },
-                )
-                collected = list(reply["cids"])
-                visited = reply["visited"]
+                try:
+                    reply = self._forward(child, {
+                        "op": "superset_visit", "keywords": list(keywords),
+                        "limit": limit, "collected": collected, "visited": []})
+                except RoutingFailure as exc:
+                    exc.visited = visited + exc.visited  # the whole path walked
+                    raise
+                collected += reply["cids"]
+                visited += reply["visited"]
                 hops += 1 + reply["hops"]
                 if len(collected) >= limit:
                     break
-        return {"cids": collected, "hops": hops, "visited": visited}
+        return {"cids": collected[found_before:], "hops": hops, "visited": visited}

@@ -4,7 +4,7 @@ import socket
 import pytest
 import requests
 
-from keycube.errors import BootstrapError, NotResponsible
+from keycube.errors import BootstrapError, NotResponsible, RoutingFailure
 from keycube.network import (
     TRANSPORT_WIRE,
     NetworkConfig,
@@ -16,7 +16,15 @@ from keycube.network import (
     wire_remove,
     wire_superset,
 )
-from keycube.topology import KeywordSet, NodeId, keyword_bit, node_for_keywords
+from keycube.query import ENVELOPE_FIELDS
+from keycube.topology import (
+    KeywordSet,
+    NodeId,
+    hamming_distance,
+    keyword_bit,
+    node_for_keywords,
+    superset_region,
+)
 
 from conftest import make_net
 
@@ -173,6 +181,87 @@ def test_error_payloads_cross_the_wire(wire_net):
     resp = requests.get(f"{addr(wire_net, '000')}/superset",
                         params={"keywords": "a", "limit": "0"}, timeout=5)
     assert resp.status_code == 400
+
+
+def test_superset_visited_follows_region_order_over_wire(wire_net):
+    universe = experiment_keywords(3)
+    keywords = KeywordSet([universe[0]])
+    root = node_for_keywords(keywords, 3)
+    region = list(superset_region(root))
+    stored = [KeywordSet([universe[0], word]) for word in universe[1:8]]
+    for i, record_keywords in enumerate(stored):
+        wire_net.insert(f"cid-order-{i}", record_keywords)
+    try:
+        for start in (NodeId.parse("000"), NodeId.parse("111")):
+            route_len = hamming_distance(start, root)
+            full = wire_net.superset_search(start, keywords, 10**6)
+            assert list(full.nodes_visited[route_len:]) == region
+            for limit in (1, 2, 4):
+                res = wire_net.superset_search(start, keywords, limit)
+                tree_nodes = list(res.nodes_visited[route_len:])
+                assert tree_nodes == region[:len(tree_nodes)]
+    finally:
+        for i, record_keywords in enumerate(stored):
+            wire_net.remove(f"cid-order-{i}", record_keywords)
+
+
+# --- malformed requests get a 400 reply --------------------------------------------
+
+def assert_bad_request(resp):
+    assert resp.status_code == 400
+    assert resp.json()["error"] == "BadRequest"
+
+
+@pytest.mark.parametrize("path", ["/insert", "/remove"])
+def test_record_without_cid_is_bad_request(wire_net, path):
+    resp = requests.post(f"{addr(wire_net, '000')}{path}",
+                         json={"keywords": ["kw0000"]}, timeout=5)
+    assert_bad_request(resp)
+
+
+def test_record_with_string_keywords_is_bad_request(wire_net):
+    resp = requests.post(f"{addr(wire_net, '000')}/insert",
+                         json={"cid": "cid-abc", "keywords": "abc"}, timeout=5)
+    assert_bad_request(resp)
+    assert wire_net.pin_search(NodeId.parse("000"), ["a", "b", "c"]).cids == ()
+
+
+def test_non_integer_superset_limit_is_bad_request(wire_net):
+    resp = requests.get(f"{addr(wire_net, '000')}/superset",
+                        params={"keywords": "a", "limit": "x"}, timeout=5)
+    assert_bad_request(resp)
+
+
+def test_forward_body_that_is_a_list_is_bad_request(wire_net):
+    resp = requests.post(f"{addr(wire_net, '000')}/internal/forward",
+                         json=[{"op": "ping"}], timeout=5)
+    assert_bad_request(resp)
+
+
+@pytest.mark.parametrize("op,field", [
+    (op, field) for op, fields in ENVELOPE_FIELDS.items()
+    for field in ("op", "visited", *fields)])
+def test_forward_missing_any_field_is_bad_request(wire_net, op, field):
+    env = {"op": op, "target": "011", "keywords": ["kw0000"], "hops": 0, "cid": "c",
+           "limit": 3, "collected": [], "visited": []}
+    del env[field]
+    resp = requests.post(f"{addr(wire_net, '000')}/internal/forward", json=env, timeout=5)
+    assert_bad_request(resp)
+
+
+def test_superset_leg_failure_reports_the_whole_path():
+    base = free_port_block(8)
+    net = build_network(NetworkConfig(r=3, transport=TRANSPORT_WIRE, base_port=base))
+    try:
+        order = list(superset_region(NodeId.parse("000")))
+        dead = net.servers.pop(order[3].value)
+        dead.shutdown()
+        dead.server_close()
+        with pytest.raises(RoutingFailure) as info:
+            net.superset_search(NodeId.parse("000"), [], 10**6)
+        assert info.value.visited == [n.text for n in order[:3]]
+    finally:
+        net.close()
 
 
 # --- transport equivalence ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from keycube.topology import (
     NodeId,
     hamming_distance,
     node_for_keywords,
+    superset_region,
 )
 
 from conftest import make_net
@@ -159,6 +161,61 @@ def test_superset_visits_only_region_and_never_twice():
         assert tree_nodes[0] == root
         assert len(tree_nodes) == len(set(tree_nodes))
         assert all(n.covers(root) for n in tree_nodes)
+
+
+def test_superset_visited_follows_region_order_exactly():
+    net = make_net(6)
+    populate(net, 200, seed=6)
+    universe = experiment_keywords(6)
+    rng = random.Random(12)
+    for _ in range(20):
+        start = NodeId(6, rng.randrange(64))
+        keywords = KeywordSet(rng.sample(universe, rng.randint(0, 3)))
+        root = node_for_keywords(keywords, 6)
+        region = list(superset_region(root))
+        route_len = hamming_distance(start, root)
+        for limit in (10**6, 1, 3, 10, 40):
+            res = net.superset_search(start, keywords, limit)
+            tree_nodes = list(res.nodes_visited[route_len:])
+            if limit == 10**6:
+                assert tree_nodes == region
+            else:
+                assert tree_nodes == region[:len(tree_nodes)]
+
+
+class RecordingTransport:
+    """Wraps a transport and keeps a copy of every envelope sent and its reply."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.legs = []
+
+    def call(self, target, envelope):
+        sent = json.loads(json.dumps(envelope))
+        reply = self.inner.call(target, envelope)
+        self.legs.append((sent, reply))
+        return reply
+
+
+def test_superset_walk_envelopes_stay_small():
+    r = 8
+    net = make_net(r)
+    populate(net, 300, seed=21)
+    recorder = RecordingTransport(net.nodes[NodeId(r, 0)].transport)
+    for node in net.nodes.values():
+        node.transport = recorder
+    universe = experiment_keywords(r)
+    hops = 0
+    for word in universe[::4]:
+        for limit in (5, 10**6):
+            hops += net.superset_search(NodeId(r, 0), [word], limit).hops
+    visits = [(env, reply) for env, reply in recorder.legs
+              if env["op"] == "superset_visit"]
+    assert visits
+    for env, _ in visits:
+        assert env["visited"] == []
+        assert len(env["collected"]) <= env["limit"]
+    assert sum(len(reply["visited"]) for _, reply in recorder.legs) <= hops * (r + 1)
 
 
 def test_superset_result_size_contract():
