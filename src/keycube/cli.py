@@ -20,7 +20,7 @@ from pathlib import Path
 import requests
 
 from .dao import run_scenario
-from .errors import BootstrapError, ScenarioError
+from .errors import BootstrapError, ContentNotFound, GatewayUnavailable, ScenarioError
 from .experiment import (
     DEFAULT_LIMIT,
     DEFAULT_QUERIES,
@@ -33,9 +33,11 @@ from .gateway import DaemonResolver
 from .network import (
     TRANSPORT_WIRE,
     NetworkConfig,
+    WireTransport,
     build_network,
     make_logical_node,
     start_node_server,
+    stop_servers,
     wire_insert,
     wire_pin,
     wire_superset,
@@ -140,7 +142,7 @@ def cmd_serve(args, parser) -> int:
             node_id = NodeId.parse(args.node_id)
             if node_id.r != args.r:
                 parser.error(f"--node-id {args.node_id!r} does not have {args.r} bits")
-            node = make_logical_node(cfg, node_id)
+            node = make_logical_node(cfg, node_id, WireTransport(cfg))
             servers = [start_node_server(cfg, node)]
             print(f"serving node {node_id.text} on {cfg.address_of(node_id)}")
     except BootstrapError as exc:
@@ -153,9 +155,7 @@ def cmd_serve(args, parser) -> int:
     signal.signal(signal.SIGINT, lambda *_: stop.set())
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
     stop.wait()
-    for server in servers:
-        server.shutdown()
-        server.server_close()
+    stop_servers(servers)
     return 0
 
 
@@ -175,7 +175,7 @@ def cmd_pin(args, parser) -> int:
         for cid in reply["cids"]:
             try:
                 contents[cid] = base64.b64encode(resolver.resolve(cid)).decode("ascii")
-            except Exception:
+            except (ContentNotFound, GatewayUnavailable):
                 contents[cid] = None
         reply["contents"] = contents
     print(json.dumps(reply))

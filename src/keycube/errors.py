@@ -140,7 +140,7 @@ class ScenarioError(KeycubeError):
 
 # --- wire error payloads ----------------------------------------------------
 
-_WIRE_CODES: dict[str, type[KeycubeError]] = {
+_WIRE_CODES: dict[str, type[Exception]] = {
     cls.__name__: cls
     for cls in (
         InvalidKeyword,
@@ -151,13 +151,15 @@ _WIRE_CODES: dict[str, type[KeycubeError]] = {
         RoutingFailure,
         BootstrapError,
         BadRequest,
+        ValueError,
     )
 }
 
 
-def error_payload(exc: KeycubeError) -> dict:
-    """JSON-able description of an error for a wire response."""
-    payload = {"error": type(exc).__name__, "detail": str(exc)}
+def error_payload(exc: KeycubeError | ValueError) -> dict:
+    """JSON-able description of an error; every ValueError travels as "ValueError"."""
+    code = type(exc).__name__ if isinstance(exc, KeycubeError) else "ValueError"
+    payload = {"error": code, "detail": str(exc)}
     if isinstance(exc, RoutingFailure):
         payload["visited"] = exc.visited
     return payload

@@ -125,7 +125,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
         r = nodes.bit_length() - 1
         universe = experiment_keywords(r)
         for objects in plan.object_counts:
-            net = build_network(NetworkConfig(r=r, seed=plan.seed))
+            net = build_network(NetworkConfig(r=r))
             populate(net, objects, derive_seed(plan.seed, r, objects, "populate"))
             for op in ("pin", "superset"):
                 rng = random.Random(derive_seed(plan.seed, r, objects, op))

@@ -37,14 +37,13 @@ from .errors import (
     raise_from_payload,
 )
 from .node import NodeState, ObjectRecord
-from .query import ENVELOPE_FIELDS, LogicalNode, QueryResult
+from .query import ENVELOPE_FIELDS, LogicalNode, QueryResult, Transport
 from .topology import (
     HashFn,
     KeywordSet,
     NodeId,
     check_dimension,
     keyword_bit,
-    neighbors,
 )
 
 TRANSPORT_IN_PROCESS = "in-process"
@@ -58,7 +57,6 @@ class NetworkConfig:
     transport: str = TRANSPORT_IN_PROCESS
     host: str = "127.0.0.1"
     base_port: int = 9000
-    seed: int = 0
     hash_fn: HashFn = keyword_bit
 
     def __post_init__(self):
@@ -67,10 +65,8 @@ class NetworkConfig:
             raise ValueError(f"unknown transport {self.transport!r}")
 
     def address_of(self, node: NodeId) -> str:
-        """Transport address of a node; a pure function of base and id value."""
-        if self.transport == TRANSPORT_WIRE:
-            return f"http://{self.host}:{self.base_port + node.value}"
-        return f"inproc://{node.text}"
+        """Wire address of a node; a pure function of host, base port and id value."""
+        return f"http://{self.host}:{self.base_port + node.value}"
 
 
 class InProcessTransport:
@@ -146,8 +142,7 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
         except RoutingFailure as exc:
             self._send(502, error_payload(exc))
         except (KeycubeError, ValueError) as exc:
-            self._send(400, error_payload(exc) if isinstance(exc, KeycubeError)
-                       else {"error": "ValueError", "detail": str(exc)})
+            self._send(400, error_payload(exc))
 
     def do_GET(self):
         node = self.server.logical_node
@@ -233,14 +228,21 @@ def start_node_server(cfg: NetworkConfig, node: LogicalNode) -> _NodeHTTPServer:
     return server
 
 
-def make_logical_node(cfg: NetworkConfig, node_id: NodeId) -> LogicalNode:
-    """A logical node wired for `cfg`, without starting any server."""
-    addrs = {n: cfg.address_of(n) for n in neighbors(node_id)}
-    state = NodeState(node_id, addrs, cfg.hash_fn)
-    node = LogicalNode(state)
-    if cfg.transport == TRANSPORT_WIRE:
-        node.transport = WireTransport(cfg)
-    return node
+def stop_servers(servers: list[_NodeHTTPServer]) -> None:
+    """Shut all servers down in parallel (each waits out its poll interval), then close them."""
+    stoppers = [threading.Thread(target=server.shutdown) for server in servers]
+    for stopper in stoppers:
+        stopper.start()
+    for stopper in stoppers:
+        stopper.join()
+    for server in servers:
+        server.server_close()
+
+
+def make_logical_node(cfg: NetworkConfig, node_id: NodeId,
+                      transport: Transport) -> LogicalNode:
+    """A logical node for `cfg` that forwards through `transport`; starts no server."""
+    return LogicalNode(NodeState(node_id, cfg.hash_fn), transport)
 
 
 class Network:
@@ -311,9 +313,7 @@ class Network:
         return NodeId(self.cfg.r, 0)
 
     def close(self) -> None:
-        for server in self.servers:
-            server.shutdown()
-            server.server_close()
+        stop_servers(self.servers)
         self.servers = []
 
     def __enter__(self) -> "Network":
@@ -328,26 +328,24 @@ def _as_keywords(keywords) -> KeywordSet:
 
 
 def build_network(cfg: NetworkConfig) -> Network:
-    """Bring up all 2**r nodes with full neighbor maps, ready for queries."""
-    nodes = {}
+    """Bring up all 2**r nodes: in-process over one shared transport, or each with its server."""
+    wire = cfg.transport == TRANSPORT_WIRE
+    nodes: dict[NodeId, LogicalNode] = {}
+    in_process = InProcessTransport(nodes)
     for value in range(1 << cfg.r):
         node_id = NodeId(cfg.r, value)
-        nodes[node_id] = make_logical_node(cfg, node_id)
+        transport = WireTransport(cfg) if wire else in_process
+        nodes[node_id] = make_logical_node(cfg, node_id, transport)
+    if not wire:
+        return Network(cfg, nodes)
 
     servers: list[_NodeHTTPServer] = []
-    if cfg.transport == TRANSPORT_WIRE:
-        try:
-            for node_id in sorted(nodes):
-                servers.append(start_node_server(cfg, nodes[node_id]))
-        except BootstrapError:
-            for server in servers:
-                server.shutdown()
-                server.server_close()
-            raise
-    else:
-        transport = InProcessTransport(nodes)
+    try:
         for node in nodes.values():
-            node.transport = transport
+            servers.append(start_node_server(cfg, node))
+    except BootstrapError:
+        stop_servers(servers)
+        raise
     return Network(cfg, nodes, servers)
 
 

@@ -31,19 +31,17 @@ class ObjectRecord:
 
 
 class NodeState:
-    """Index table and neighbor address map of one logical node.
+    """Index table of one logical node; its neighbours follow from its id and are not stored.
 
     All table access goes through an internal lock, so one node's state
     may be shared by concurrent request handlers; mutations are serialized
     per node. Forwarding decisions never hold the lock.
     """
 
-    def __init__(self, node_id: NodeId, neighbor_addrs: dict[NodeId, str] | None = None,
-                 hash_fn: HashFn = keyword_bit):
+    def __init__(self, node_id: NodeId, hash_fn: HashFn = keyword_bit):
         self.id = node_id
         self.r = node_id.r
         self.hash_fn = hash_fn
-        self.neighbor_addrs = dict(neighbor_addrs or {})
         self._entries: dict[KeywordSet, set[str]] = {}
         self._lock = threading.Lock()
 

@@ -21,6 +21,7 @@ from .node import NodeState, ObjectRecord
 from .topology import (
     KeywordSet,
     NodeId,
+    neighbors,
     next_hop,
     node_for_keywords,
     superset_children,
@@ -63,7 +64,7 @@ class Transport(Protocol):
 class LogicalNode:
     """Envelope handler bound to one node's state and a transport."""
 
-    def __init__(self, state: NodeState, transport: "Transport | None" = None):
+    def __init__(self, state: NodeState, transport: Transport):
         self.state = state
         self.transport = transport
 
@@ -100,7 +101,7 @@ class LogicalNode:
         return {
             "id": self.id.text,
             "r": self.state.r,
-            "neighbors": [n.text for n in sorted(self.state.neighbor_addrs)],
+            "neighbors": [n.text for n in sorted(neighbors(self.id))],
         }
 
     def _routed_envelope(self, op: str, keywords: KeywordSet, **extra) -> dict:
@@ -128,16 +129,11 @@ class LogicalNode:
             target = NodeId.parse(env["target"])
             if self.id != target:
                 env["hops"] += 1
-                return self._forward(next_hop(self.id, target), env)
+                return self.transport.call(next_hop(self.id, target), env)
             return self._at_target(env)
         if op == "superset_visit":
             return self._superset_visit(env)
         raise KeycubeError(f"unknown op {op!r}")
-
-    def _forward(self, to: NodeId, env: dict) -> dict:
-        if self.transport is None:
-            raise KeycubeError("node has no transport attached")
-        return self.transport.call(to, env)
 
     def _at_target(self, env: dict) -> dict:
         op = env["op"]
@@ -196,7 +192,7 @@ class LogicalNode:
             query_bits = node_for_keywords(keywords, self.state.r, self.state.hash_fn)
             for child in superset_children(self.id, query_bits):
                 try:
-                    reply = self._forward(child, {
+                    reply = self.transport.call(child, {
                         "op": "superset_visit", "keywords": list(keywords),
                         "limit": limit, "collected": collected, "visited": []})
                 except RoutingFailure as exc:

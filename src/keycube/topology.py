@@ -99,6 +99,8 @@ class KeywordSet:
     __slots__ = ("words",)
 
     def __init__(self, words: Iterable[str] = ()):
+        if isinstance(words, str):
+            raise InvalidKeyword(f"keywords must be a collection, not the string {words!r}")
         seen = set()
         cleaned = []
         for w in words:

@@ -1,3 +1,4 @@
+import base64
 import json
 import signal
 import subprocess
@@ -7,7 +8,9 @@ import time
 import pytest
 import requests
 
+from keycube import cli
 from keycube.cli import main
+from keycube.errors import ContentNotFound
 from keycube.network import TRANSPORT_WIRE, NetworkConfig, build_network, wire_info
 
 from test_network import free_port_block
@@ -106,6 +109,42 @@ def test_pin_with_mock_unreachable_resolver(served, capsys):
                  "--resolver-url", f"http://127.0.0.1:{dead}"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["contents"] == {"cid-glacier": None}
+
+
+class OneMissingResolver:
+    """Stands in for the daemon client: it has every cid but `cid-moraine-b`."""
+
+    def __init__(self, base_url):
+        pass
+
+    def resolve(self, cid):
+        if cid == "cid-moraine-b":
+            raise ContentNotFound(cid)
+        return cid.encode()
+
+
+def test_pin_marks_only_the_unresolvable_cid(served, capsys, monkeypatch):
+    for cid in ("cid-moraine-a", "cid-moraine-b"):
+        main(["insert", "--target", url(served), "--keywords", "moraine", "--cid", cid])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "DaemonResolver", OneMissingResolver)
+    assert main(["pin", "--target", url(served), "--keywords", "moraine",
+                 "--resolver-url", url(free_port_block(1))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["contents"] == {"cid-moraine-a": base64.b64encode(b"cid-moraine-a").decode(),
+                               "cid-moraine-b": None}
+
+
+def test_pin_does_not_swallow_resolver_bugs(served, monkeypatch):
+    class BrokenResolver(OneMissingResolver):
+        def resolve(self, cid):
+            raise TypeError("resolver bug")
+
+    main(["insert", "--target", url(served), "--keywords", "esker", "--cid", "cid-esker"])
+    monkeypatch.setattr(cli, "DaemonResolver", BrokenResolver)
+    with pytest.raises(TypeError):
+        main(["pin", "--target", url(served), "--keywords", "esker",
+              "--resolver-url", url(free_port_block(1))])
 
 
 # --- experiment ----------------------------------------------------------------

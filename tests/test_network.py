@@ -1,10 +1,11 @@
 import random
 import socket
+import time
 
 import pytest
 import requests
 
-from keycube.errors import BootstrapError, NotResponsible, RoutingFailure
+from keycube.errors import BootstrapError, InvalidKeyword, NotResponsible, RoutingFailure
 from keycube.network import (
     TRANSPORT_WIRE,
     NetworkConfig,
@@ -53,9 +54,10 @@ def free_port_block(size):
 def test_build_creates_all_nodes(r, expected):
     net = make_net(r)
     assert len(net.nodes) == expected
+    assert set(net.nodes) == {NodeId(r, value) for value in range(expected)}
     for node_id, node in net.nodes.items():
-        assert set(node.state.neighbor_addrs) == {
-            node_id.flip(i) for i in range(r)}
+        flips = sorted(node_id.flip(i) for i in range(r))  # id order, as /info sends them
+        assert node.info()["neighbors"] == [flip.text for flip in flips]
 
 
 def test_wire_addresses_follow_port_rule():
@@ -74,6 +76,27 @@ def test_duplicate_port_raises_bootstrap_error():
             build_network(NetworkConfig(r=3, transport=TRANSPORT_WIRE, base_port=base))
     finally:
         blocker.close()
+
+
+def test_close_stops_all_servers_at_once():
+    net = build_network(NetworkConfig(r=4, transport=TRANSPORT_WIRE,
+                                      base_port=free_port_block(16)))
+    addresses = [net.cfg.address_of(node_id) for node_id in net.node_ids]
+    start = time.perf_counter()
+    net.close()
+    assert time.perf_counter() - start < 3.0
+    for address in addresses:
+        with pytest.raises(requests.ConnectionError):
+            wire_info(address)
+
+
+def test_close_after_servers_were_shut_down():
+    net = build_network(NetworkConfig(r=2, transport=TRANSPORT_WIRE,
+                                      base_port=free_port_block(4)))
+    for server in net.servers:
+        server.shutdown()
+    net.close()
+    assert net.servers == []
 
 
 # --- populate ------------------------------------------------------------------
@@ -265,6 +288,42 @@ def test_superset_leg_failure_reports_the_whole_path():
 
 
 # --- transport equivalence ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def twin_nets(wire_net):
+    """An in-process r=3 network beside the module's wire network."""
+    return {"in-process": make_net(3), "wire": wire_net}
+
+
+# One keyword per bit position: owned by node 111, three hops from 000.
+KEYS_AT_111 = [next(word for word in experiment_keywords(3) if keyword_bit(word, 3) == bit)
+               for bit in range(3)]
+
+# Each case fails at its own distance from the start node 000: on the
+# client (bare string), at the start node (limit 0) or at the target.
+ERROR_CASES = {
+    "bare-string keywords": (InvalidKeyword, lambda net: net.insert("c", "abc")),
+    "superset limit 0": (ValueError, lambda net: net.superset_search(
+        NodeId.parse("000"), ["kw0000"], 0)),
+    "empty cid, 3 hops away": (ValueError, lambda net: net.insert(
+        "", KEYS_AT_111, start=NodeId.parse("000"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_types_agree_across_transports(twin_nets, case):
+    expected, act = ERROR_CASES[case]
+    raised = {}
+    for transport, net in twin_nets.items():
+        with pytest.raises(expected) as info:
+            act(net)
+        raised[transport] = type(info.value)
+    assert raised["in-process"] is raised["wire"]
+
+
+def test_keys_at_111_are_three_hops_from_000():
+    assert node_for_keywords(KEYS_AT_111, 3) == NodeId.parse("111")
+
 
 def test_transports_agree_on_100_queries():
     base = free_port_block(8)

@@ -56,6 +56,12 @@ def test_keyword_set_rejects_empty_keyword():
         KeywordSet([""])
 
 
+def test_keyword_set_rejects_a_bare_string():
+    with pytest.raises(InvalidKeyword):
+        KeywordSet("abc")
+    assert KeywordSet(["abc"]).words == ("abc",)
+
+
 # --- keyword_bit ------------------------------------------------------------
 
 def test_keyword_bit_r1_always_zero():
