@@ -54,6 +54,10 @@ class BadRequest(KeycubeError):
     """A wire request or envelope is malformed: bad JSON, a missing or mistyped field."""
 
 
+class InternalError(KeycubeError):
+    """A node failed on a request with an unexpected error; the wire form of a bug."""
+
+
 # --- content gateway --------------------------------------------------------
 
 class ContentNotFound(KeycubeError):
@@ -151,6 +155,7 @@ _WIRE_CODES: dict[str, type[Exception]] = {
         RoutingFailure,
         BootstrapError,
         BadRequest,
+        InternalError,
         ValueError,
     )
 }

@@ -19,6 +19,7 @@ Per node, wire mode:
 from __future__ import annotations
 
 import json
+import logging
 import random
 import threading
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ import requests
 from .errors import (
     BadRequest,
     BootstrapError,
+    InternalError,
     KeycubeError,
     RoutingFailure,
     error_payload,
@@ -44,11 +46,14 @@ from .topology import (
     NodeId,
     check_dimension,
     keyword_bit,
+    node_for_keywords,
 )
 
 TRANSPORT_IN_PROCESS = "in-process"
 TRANSPORT_WIRE = "wire"
 WIRE_TIMEOUT = 20.0
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,9 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
             self._send(502, error_payload(exc))
         except (KeycubeError, ValueError) as exc:
             self._send(400, error_payload(exc))
+        except Exception as exc:  # a bug: answer it rather than drop the connection
+            logger.exception("node %s failed on %s", self.server.logical_node.id, self.path)
+            self._send(500, error_payload(InternalError(f"{type(exc).__name__}: {exc}")))
 
     def do_GET(self):
         node = self.server.logical_node
@@ -169,7 +177,7 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
         elif path == "/remove":
             self._run(lambda: node.client_remove(*_record(raw)))
         elif path == "/internal/forward":
-            self._run(lambda: node.handle_forward(_envelope(raw)))
+            self._run(lambda: node.handle_forward(_envelope(raw, node.state)))
         else:
             self._send(404, {"error": "NotFound", "detail": self.path})
 
@@ -181,6 +189,8 @@ def _json_object(raw: bytes) -> dict:
         body = json.loads(raw)
     except ValueError as exc:
         raise BadRequest(str(exc)) from exc
+    except RecursionError:
+        raise BadRequest("body is nested too deeply") from None
     if not isinstance(body, dict):
         raise BadRequest(f"body must be a JSON object, got {type(body).__name__}")
     return body
@@ -198,9 +208,21 @@ def _record(raw: bytes) -> tuple[str, KeywordSet]:
     return body["cid"], KeywordSet(body["keywords"])
 
 
-def _envelope(raw: bytes) -> dict:
+def _envelope(raw: bytes, state: NodeState) -> dict:
+    """Decode an envelope; its target is checked here so that handlers can trust it."""
     env = _check_fields(_json_object(raw), {"op": str, "visited": list})
-    return _check_fields(env, ENVELOPE_FIELDS.get(env["op"], {}))
+    _check_fields(env, ENVELOPE_FIELDS.get(env["op"], {}))
+    if "target" in env:
+        try:
+            target = NodeId.parse(env["target"])
+        except ValueError as exc:
+            raise BadRequest(f"bad target: {exc}") from None
+        if target.r != state.r:
+            raise BadRequest(f"target {target.text} does not have r={state.r} bits")
+        if "keywords" in env and target != node_for_keywords(
+                env["keywords"], state.r, state.hash_fn):
+            raise BadRequest(f"target {target.text} is not the id of {env['keywords']!r}")
+    return env
 
 
 def _limit(raw: str) -> int:

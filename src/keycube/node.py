@@ -77,13 +77,14 @@ class NodeState:
         with self._lock:
             return set(self._entries.get(keywords, ()))
 
-    def superset_lookup(self, keywords: KeywordSet, limit: int) -> list[str]:
+    def superset_lookup(self, keywords: KeywordSet, query_bits: NodeId,
+                        limit: int) -> list[str]:
         """Up to `limit` cids whose keyword set includes `keywords`.
 
-        Deterministic selection: entries sorted by canonical keyword set,
-        cids in byte order within an entry.
+        `query_bits` is `node_for_keywords(keywords)`, hashed once per query
+        and carried by the walk. Deterministic selection: entries sorted by
+        canonical keyword set, cids in byte order within an entry.
         """
-        query_bits = node_for_keywords(keywords, self.r, self.hash_fn)
         if not self.id.covers(query_bits):
             raise NotInSupersetRegion(
                 f"node {self.id.text} is outside the superset region of {query_bits.text}"

@@ -9,6 +9,12 @@ stopping as soon as the result quota is met. Tree edges are counted once,
 forward only; the walk-back is free. A tree edge carries back only its
 subtree's new cids and visited segment, which the parent appends, so a
 walk's work is linear in its hops.
+
+A query's keywords are hashed to its target id once, at the node where it
+enters. Every walk leg carries the root's id as `target`, so no tree node
+hashes them again. Handlers trust the envelopes they are given: the wire
+decode in `network` checks that `target` has r bits and, when the envelope
+has keywords, that it is their id.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ ENVELOPE_FIELDS: dict[str, dict[str, type]] = {
     "remove": {**_ROUTED_FIELDS, "cid": str},
     "pin": _ROUTED_FIELDS,
     "superset": {**_ROUTED_FIELDS, "limit": int},
-    "superset_visit": {"keywords": list, "limit": int, "collected": list},
+    "superset_visit": {"target": str, "keywords": list, "limit": int, "collected": list},
 }
 
 
@@ -153,6 +159,7 @@ class LogicalNode:
         # on the visited list, so the root visit must not append it again.
         visit = self._superset_visit(
             {
+                "target": env["target"],
                 "keywords": env["keywords"],
                 "limit": env["limit"],
                 "collected": [],
@@ -168,11 +175,13 @@ class LogicalNode:
     def _superset_visit(self, env: dict) -> dict:
         """Visit one tree node: collect locally, then descend while short.
 
-        `collected` is every cid found so far, so duplicates across nodes are
-        dropped. The reply holds only what this subtree added: its new cids
-        and its visited segment, which starts at `env["visited"]`.
+        `target` is the walk root, whose bits are the query's. `collected` is
+        every cid found so far, so duplicates across nodes are dropped. The
+        reply holds only what this subtree added: its new cids and its
+        visited segment, which starts at `env["visited"]`.
         """
         keywords = KeywordSet(env["keywords"])
+        query_bits = NodeId.parse(env["target"])
         limit = env["limit"]
         collected: list[str] = list(env["collected"])
         found_before = len(collected)
@@ -181,7 +190,7 @@ class LogicalNode:
         # Local cap `limit` is enough even with cross-node duplicate cids:
         # if this node alone holds >= limit matches, the union reaches the
         # quota here; otherwise nothing local was truncated.
-        for cid in self.state.superset_lookup(keywords, limit):
+        for cid in self.state.superset_lookup(keywords, query_bits, limit):
             if len(collected) >= limit:
                 break
             if cid not in collected:
@@ -189,12 +198,12 @@ class LogicalNode:
 
         hops = 0
         if len(collected) < limit:
-            query_bits = node_for_keywords(keywords, self.state.r, self.state.hash_fn)
             for child in superset_children(self.id, query_bits):
                 try:
                     reply = self.transport.call(child, {
-                        "op": "superset_visit", "keywords": list(keywords),
-                        "limit": limit, "collected": collected, "visited": []})
+                        "op": "superset_visit", "target": env["target"],
+                        "keywords": list(keywords), "limit": limit,
+                        "collected": collected, "visited": []})
                 except RoutingFailure as exc:
                     exc.visited = visited + exc.visited  # the whole path walked
                     raise

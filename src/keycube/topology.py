@@ -8,7 +8,11 @@ one differing bit at a time.
 Bit/text convention: the canonical text form of an id is a string of r
 characters '0'/'1', and the character at index i (0-based, leftmost) is
 bit position i. Internally position i is stored as the 2**i bit of an
-integer, so parsing and rendering reverse nothing; they only change radix.
+integer, so the text form is the integer's binary digits reversed.
+
+Ids are validated where they enter: `NodeId(r, value)` and `NodeId.parse`.
+Ids derived from a valid id (`flip` and everything built on it) are valid
+by construction and skip that check.
 """
 
 from __future__ import annotations
@@ -55,15 +59,15 @@ class NodeId:
     @classmethod
     def parse(cls, text: str) -> "NodeId":
         """Build an id from its canonical '0'/'1' text form."""
-        if not text or any(c not in "01" for c in text):
-            raise ValueError(f"not a bit string: {text!r}")
-        value = sum(1 << i for i, c in enumerate(text) if c == "1")
-        return cls(len(text), value)
+        if not isinstance(text, str) or not 1 <= len(text) <= MAX_DIMENSION \
+                or text.strip("01"):
+            raise ValueError(f"not a bit string of 1 to {MAX_DIMENSION} bits: {text!r}")
+        return _valid_id(len(text), int(text[::-1], 2))
 
     @property
     def text(self) -> str:
         """Canonical text form; leftmost character is bit position 0."""
-        return "".join("1" if self.value >> i & 1 else "0" for i in range(self.r))
+        return format(self.value, f"0{self.r}b")[::-1]
 
     def __str__(self) -> str:
         return self.text
@@ -72,7 +76,9 @@ class NodeId:
         return self.value >> position & 1
 
     def flip(self, position: int) -> "NodeId":
-        return NodeId(self.r, self.value ^ (1 << position))
+        if not 0 <= position < self.r:
+            raise ValueError(f"bit position {position} out of range for r={self.r}")
+        return _valid_id(self.r, self.value ^ (1 << position))
 
     @property
     def set_positions(self) -> tuple[int, ...]:
@@ -87,6 +93,14 @@ class NodeId:
         if self.r != other.r:
             raise DimensionMismatch(f"r={self.r} vs r={other.r}")
         return self.value & other.value == other.value
+
+
+def _valid_id(r: int, value: int) -> NodeId:
+    """A NodeId from an r and value the caller has already checked; skips __post_init__."""
+    node = object.__new__(NodeId)
+    object.__setattr__(node, "r", r)  # as the frozen dataclass's own __init__ does
+    object.__setattr__(node, "value", value)
+    return node
 
 
 class KeywordSet:
@@ -238,8 +252,6 @@ def superset_children(node: NodeId, query: NodeId) -> list[NodeId]:
     once: the free bits of any superset must be added in descending order,
     which is a unique path.
     """
-    if node.r != query.r:
-        raise DimensionMismatch(f"r={node.r} vs r={query.r}")
     if not node.covers(query):
         raise NotInSupersetRegion(f"{node.text} is not a bit-superset of {query.text}")
     free_set = node.value & ~query.value

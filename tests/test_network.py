@@ -5,7 +5,13 @@ import time
 import pytest
 import requests
 
-from keycube.errors import BootstrapError, InvalidKeyword, NotResponsible, RoutingFailure
+from keycube.errors import (
+    BootstrapError,
+    InternalError,
+    InvalidKeyword,
+    NotResponsible,
+    RoutingFailure,
+)
 from keycube.network import (
     TRANSPORT_WIRE,
     NetworkConfig,
@@ -37,8 +43,8 @@ def free_port_block(size):
             socks = []
             for offset in range(size):
                 s = socket.socket()
+                socks.append(s)  # before bind, so a failed bind's socket is closed too
                 s.bind(("127.0.0.1", base + offset))
-                socks.append(s)
             for s in socks:
                 s.close()
             return base
@@ -269,6 +275,57 @@ def test_forward_missing_any_field_is_bad_request(wire_net, op, field):
            "limit": 3, "collected": [], "visited": []}
     del env[field]
     resp = requests.post(f"{addr(wire_net, '000')}/internal/forward", json=env, timeout=5)
+    assert_bad_request(resp)
+
+
+def test_forward_body_nested_too_deeply_is_bad_request(wire_net):
+    resp = requests.post(f"{addr(wire_net, '000')}/internal/forward",
+                         data=b"[" * 100_000, timeout=5)
+    assert_bad_request(resp)
+
+
+def exploding_hash(word, r):
+    """keyword_bit, except that the keyword "boom" hits a bug in it."""
+    if word == "boom":
+        raise RuntimeError("bug in the hash")
+    return keyword_bit(word, r)
+
+
+def test_unexpected_handler_error_gets_a_500_reply():
+    base = free_port_block(4)
+    cfg = NetworkConfig(r=2, transport=TRANSPORT_WIRE, base_port=base, hash_fn=exploding_hash)
+    with build_network(cfg) as net:
+        resp = requests.get(f"{net.cfg.address_of(NodeId.parse('00'))}/pin",
+                            params={"keywords": "boom"}, timeout=5)
+        assert resp.status_code == 500
+        assert resp.json() == {"error": "InternalError",
+                               "detail": "RuntimeError: bug in the hash"}
+        with pytest.raises(InternalError):
+            net.pin_search(NodeId.parse("11"), ["boom"])
+        assert net.pin_search(NodeId.parse("11"), ["kw0000"]).cids == ()
+
+
+# Envelopes whose target is not the id of their keywords, or not r=3 bits long.
+KEYS_AT_100 = [next(word for word in experiment_keywords(3) if keyword_bit(word, 3) == 0)]
+FORGED_ENVELOPES = {
+    "superset_visit, wrong target": {"op": "superset_visit", "target": "110",
+                                     "keywords": KEYS_AT_100, "limit": 5, "collected": []},
+    "superset_visit, short target": {"op": "superset_visit", "target": "10",
+                                     "keywords": KEYS_AT_100, "limit": 5, "collected": []},
+    "pin, wrong target": {"op": "pin", "target": "010", "keywords": KEYS_AT_100, "hops": 0},
+    "pin, long target": {"op": "pin", "target": "1000", "keywords": KEYS_AT_100, "hops": 0},
+    "superset, wrong target": {"op": "superset", "target": "000", "keywords": KEYS_AT_100,
+                               "hops": 0, "limit": 5},
+    "superset, non-binary target": {"op": "superset", "target": "1x0",
+                                    "keywords": KEYS_AT_100, "hops": 0, "limit": 5},
+    "ping, long target": {"op": "ping", "target": "11111", "hops": 0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_ENVELOPES))
+def test_forged_envelope_is_bad_request(wire_net, case):
+    env = {**FORGED_ENVELOPES[case], "visited": []}
+    resp = requests.post(f"{addr(wire_net, '110')}/internal/forward", json=env, timeout=5)
     assert_bad_request(resp)
 
 

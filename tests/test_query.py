@@ -9,6 +9,7 @@ from keycube.topology import (
     KeywordSet,
     NodeId,
     hamming_distance,
+    keyword_bit,
     node_for_keywords,
     superset_region,
 )
@@ -215,7 +216,32 @@ def test_superset_walk_envelopes_stay_small():
     for env, _ in visits:
         assert env["visited"] == []
         assert len(env["collected"]) <= env["limit"]
+        assert env["target"] == node_for_keywords(env["keywords"], r).text  # the walk root
     assert sum(len(reply["visited"]) for _, reply in recorder.legs) <= hops * (r + 1)
+
+
+class CountingHash:
+    """keyword_bit that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, word, r):
+        self.calls += 1
+        return keyword_bit(word, r)
+
+
+def test_superset_walk_hashes_once_per_query_not_per_hop():
+    r = 8
+    counter = CountingHash()
+    net = make_net(r, hash_fn=counter)
+    populate(net, 200, seed=5)
+    keywords = [experiment_keywords(r)[0]]
+    root = node_for_keywords(keywords, r)
+    counter.calls = 0
+    res = net.superset_search(root, keywords, limit=10**6)
+    assert list(res.nodes_visited) == list(superset_region(root))  # all 128 nodes
+    assert counter.calls <= 2 * len(keywords)
 
 
 def test_superset_result_size_contract():

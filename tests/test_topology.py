@@ -31,17 +31,25 @@ keywords_st = st.text(
 # --- NodeId and KeywordSet ---------------------------------------------------
 
 def test_node_id_text_round_trip():
-    for text in ("0", "1", "001001", "111111", "010"):
+    for text in ("0", "1", "001001", "111111", "010", "1" + "0" * 31, "01" * 16):
         assert NodeId.parse(text).text == text
+    assert NodeId.parse("1" + "0" * 31) == NodeId(32, 1)
 
 
 def test_node_id_rejects_bad_text():
-    with pytest.raises(ValueError):
-        NodeId.parse("01a1")
-    with pytest.raises(ValueError):
-        NodeId.parse("")
+    for text in ("01a1", "", " 01", "0_1", "0" * 33, b"01", 1, None):
+        with pytest.raises(ValueError):
+            NodeId.parse(text)
     with pytest.raises(ValueError):
         NodeId(3, 8)
+
+
+def test_node_id_rejects_bad_dimension_and_flip():
+    with pytest.raises(ValueError):
+        NodeId(33, 0)
+    for position in (-1, 3):
+        with pytest.raises(ValueError):
+            NodeId(3, 0).flip(position)
 
 
 def test_keyword_set_canonical_and_deduplicated():
