@@ -138,7 +138,14 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _raw_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
+        text = self.headers.get("Content-Length", "0")
+        try:
+            length = int(text)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True  # where the body ends is unknown
+            raise BadRequest(f"Content-Length must be a non-negative integer, got {text!r}")
         return self.rfile.read(length) if length else b"{}"
 
     def _run(self, fn) -> None:
@@ -171,14 +178,14 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         node = self.server.logical_node
         path = urlparse(self.path).path
-        raw = self._raw_body()
         if path == "/insert":
-            self._run(lambda: node.client_insert(*_record(raw)))
+            self._run(lambda: node.client_insert(*_record(self._raw_body())))
         elif path == "/remove":
-            self._run(lambda: node.client_remove(*_record(raw)))
+            self._run(lambda: node.client_remove(*_record(self._raw_body())))
         elif path == "/internal/forward":
-            self._run(lambda: node.handle_forward(_envelope(raw, node.state)))
+            self._run(lambda: node.handle_forward(_envelope(self._raw_body(), node.state)))
         else:
+            self.close_connection = True  # its body is left unread
             self._send(404, {"error": "NotFound", "detail": self.path})
 
 

@@ -241,7 +241,8 @@ def test_serve_all_hosts_every_node():
         assert len(infos[0]["neighbors"]) == 2
     finally:
         proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=10) == 0
+        proc.communicate(timeout=10)  # also closes the pipes
+        assert proc.returncode == 0
 
 
 def test_serve_single_node():
@@ -261,4 +262,4 @@ def test_serve_single_node():
         assert info == {"id": "010", "r": 3, "neighbors": ["000", "110", "011"]}
     finally:
         proc.send_signal(signal.SIGTERM)
-        proc.wait(timeout=10)
+        proc.communicate(timeout=10)  # also closes the pipes

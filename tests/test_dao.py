@@ -1,4 +1,6 @@
+import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -450,6 +452,52 @@ def test_rejections_preserve_state_temporal_safety():
             state.tick(rng.randint(1, 10))
 
 
+class UnscannableLocks(dict):
+    """A lock table that fails any attempt to walk it."""
+
+    def __iter__(self):
+        raise AssertionError("the lock table was scanned")
+
+    def values(self):
+        raise AssertionError("the lock table was scanned")
+
+    items = keys = values
+
+
+def test_membership_weight_and_escrow_do_not_scan_the_lock_table(funded):
+    funded.lock_tokens("alice", 100, release_time=50)
+    funded.lock_tokens("bob", 30, release_time=80)
+    funded.locks = UnscannableLocks(funded.locks)
+    assert funded.is_member("alice")
+    assert not funded.is_member("carol")
+    assert funded.voting_weight("alice", 40) == 100
+    assert funded.voting_weight("bob", 80) == 0
+    assert funded.escrowed_total() == 130
+    assert funded.conserved()
+
+
+def test_to_json_matches_dumps_without_holding_every_piece():
+    state = GovState()
+    for account in ACCOUNTS:
+        state.mint(account, 10**6)
+    for i in range(2000):
+        state.lock_tokens(ACCOUNTS[i % len(ACCOUNTS)], 1 + i % 7, release_time=10 + i)
+    state.tick(100)
+    for lock_id in range(1, 60):
+        state.release(lock_id)
+    pid = state.submit_proposal(ACCOUNTS[0], "topic", debate_end=state.clock + 5)
+    state.vote(pid, state.submit_suggestion(pid, ACCOUNTS[1], "option"), ACCOUNTS[1])
+    want = json.dumps(state.snapshot(), indent=2, sort_keys=True)
+    tracemalloc.start()
+    try:
+        out = state.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out == want
+    assert peak < 4 * len(want)
+
+
 # --- hypothesis state machine -----------------------------------------------------
 
 class GovMachine(RuleBasedStateMachine):
@@ -493,6 +541,19 @@ class GovMachine(RuleBasedStateMachine):
         except GovernanceError:
             pass
 
+    @rule(owner=accounts, amount=st.integers(1, 500), horizon=st.integers(1, 100))
+    def mint_and_lock(self, owner, amount, horizon):
+        self.state.mint(owner, amount)
+        self.lock_ids.append(
+            self.state.lock_tokens(owner, amount, self.state.clock + horizon))
+
+    @rule()
+    def release_expired(self):
+        for lock in self.state.locks.values():
+            if not lock.released and lock.release_time <= self.state.clock:
+                self.state.release(lock.id)
+                return
+
     @rule(seconds=st.integers(1, 50))
     def tick(self, seconds):
         self.state.tick(seconds)
@@ -531,6 +592,19 @@ class GovMachine(RuleBasedStateMachine):
     @invariant()
     def conserved(self):
         assert self.state.conserved()
+
+    @invariant()
+    def index_agrees_with_a_scan_of_every_lock(self):
+        state = self.state
+        unreleased = [lock for lock in state.locks.values() if not lock.released]
+        assert state.escrowed_total() == sum(lock.amount for lock in unreleased)
+        for account in ACCOUNTS:
+            own = [lock for lock in unreleased if lock.owner == account]
+            for when in (state.clock, state.clock + 50):
+                assert state.voting_weight(account, when) == sum(
+                    lock.amount for lock in own if lock.release_time > when)
+            assert state.is_member(account) == any(
+                lock.release_time > state.clock for lock in own)
 
     @invariant()
     def locks_released_only_after_expiry(self):

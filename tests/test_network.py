@@ -1,3 +1,4 @@
+import json
 import random
 import socket
 import time
@@ -282,6 +283,24 @@ def test_forward_body_nested_too_deeply_is_bad_request(wire_net):
     resp = requests.post(f"{addr(wire_net, '000')}/internal/forward",
                          data=b"[" * 100_000, timeout=5)
     assert_bad_request(resp)
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_bad_content_length_is_bad_request(length):
+    base = free_port_block(2)
+    with build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base)) as net:
+        body = b'{"cid": "c", "keywords": []}'
+        request = (f"POST /insert HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                   f"Content-Length: {length}\r\n\r\n").encode() + body
+        with socket.create_connection(("127.0.0.1", base), timeout=5) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after its reply
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+        assert json.loads(payload)["error"] == "BadRequest"
+        assert net.pin_search(NodeId.parse("0"), []).cids == ()
 
 
 def exploding_hash(word, r):
