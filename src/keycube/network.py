@@ -1,11 +1,12 @@
 """Complete 2**r-node networks over two interchangeable transports.
 
-The in-process transport dispatches envelopes by direct call, but pushes
-every envelope and reply through a JSON round-trip so that both transports
-move exactly the same payloads; results are identical by construction, not
-by luck. The wire transport runs one small HTTP server per logical node
-(one OS port each) speaking the JSON protocol below, with node-to-node
-legs on POST /internal/forward.
+The in-process transport dispatches envelopes by direct call, handing the
+callee a strict structural copy of every envelope and the caller one of
+every reply. The copy accepts exactly JSON's types and shares no mutable
+object, so both transports move the same payloads; results are identical
+by construction, not by luck. The wire transport runs one small HTTP
+server per logical node (one OS port each) speaking the JSON protocol
+below, with node-to-node legs on POST /internal/forward.
 
 Per node, wire mode:
     POST /insert            {"cid": str, "keywords": [str]}
@@ -39,7 +40,7 @@ from .errors import (
     raise_from_payload,
 )
 from .node import NodeState, ObjectRecord
-from .query import ENVELOPE_FIELDS, LogicalNode, QueryResult, Transport
+from .query import ENVELOPE_FIELDS, ROUTED_OPS, LogicalNode, QueryResult, Transport
 from .topology import (
     HashFn,
     KeywordSet,
@@ -52,6 +53,7 @@ from .topology import (
 TRANSPORT_IN_PROCESS = "in-process"
 TRANSPORT_WIRE = "wire"
 WIRE_TIMEOUT = 20.0
+MAX_BODY_BYTES = 1 << 20  # a larger Content-Length is refused before any body is read
 
 logger = logging.getLogger(__name__)
 
@@ -75,15 +77,37 @@ class NetworkConfig:
 
 
 class InProcessTransport:
-    """Direct dispatch with JSON round-trips for wire parity."""
+    """Direct dispatch with strict structural copies (`_copy`) for wire parity."""
 
     def __init__(self, nodes: dict[NodeId, LogicalNode]):
         self.nodes = nodes
 
     def call(self, target: NodeId, envelope: dict) -> dict:
-        env = json.loads(json.dumps(envelope))
-        reply = self.nodes[target].handle_forward(env)
-        return json.loads(json.dumps(reply))
+        return _copy(self.nodes[target].handle_forward(_copy(envelope)))
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _copy(x):
+    """What `json.loads(json.dumps(x))` gives, without the text in between.
+
+    Scalars pass through; lists and tuples become new lists and dicts new
+    dicts. Stricter than `json.dumps`: a dict key must be a `str`, not
+    coerced to one, and only these exact types are accepted. Anything else
+    raises `TypeError`.
+    """
+    kind = type(x)
+    if kind is dict:
+        for key in x:
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        return {k: v if type(v) in _SCALARS else _copy(v) for k, v in x.items()}
+    if kind is list or kind is tuple:
+        return [v if type(v) in _SCALARS else _copy(v) for v in x]
+    if kind in _SCALARS:
+        return x
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 class WireTransport:
@@ -146,6 +170,9 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
         if length < 0:
             self.close_connection = True  # where the body ends is unknown
             raise BadRequest(f"Content-Length must be a non-negative integer, got {text!r}")
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the body is left unread
+            raise BadRequest(f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes")
         return self.rfile.read(length) if length else b"{}"
 
     def _run(self, fn) -> None:
@@ -216,9 +243,22 @@ def _record(raw: bytes) -> tuple[str, KeywordSet]:
 
 
 def _envelope(raw: bytes, state: NodeState) -> dict:
-    """Decode an envelope; its target is checked here so that handlers can trust it."""
+    """Decode an envelope; its target and budgets are checked here so handlers can trust it.
+
+    Greedy routing fixes one bit per hop, so a routed envelope arrives with
+    at most r hops and one `visited` entry per hop; a walk leg's `collected`
+    never holds more than its `limit`.
+    """
     env = _check_fields(_json_object(raw), {"op": str, "visited": list})
     _check_fields(env, ENVELOPE_FIELDS.get(env["op"], {}))
+    if env["op"] in ROUTED_OPS:
+        hops = env["hops"]
+        if not 0 <= hops <= state.r:
+            raise BadRequest(f"hops {hops} is outside 0..{state.r}")
+        if len(env["visited"]) > hops:
+            raise BadRequest(f"{len(env['visited'])} visited entries for {hops} hops")
+    elif env["op"] == "superset_visit" and len(env["collected"]) > env["limit"]:
+        raise BadRequest(f"{len(env['collected'])} collected cids exceed limit {env['limit']}")
     if "target" in env:
         try:
             target = NodeId.parse(env["target"])

@@ -81,10 +81,6 @@ class NodeId:
         return _valid_id(self.r, self.value ^ (1 << position))
 
     @property
-    def set_positions(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.r) if self.value >> i & 1)
-
-    @property
     def popcount(self) -> int:
         return bin(self.value).count("1")
 
@@ -154,9 +150,6 @@ class KeywordSet:
 
     def issuperset(self, other: "KeywordSet") -> bool:
         return set(self.words) >= set(other.words)
-
-    def issubset(self, other: "KeywordSet") -> bool:
-        return set(self.words) <= set(other.words)
 
 
 def keyword_bit(keyword: str, r: int) -> int:

@@ -5,6 +5,8 @@ import time
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keycube.errors import (
     BootstrapError,
@@ -14,8 +16,10 @@ from keycube.errors import (
     RoutingFailure,
 )
 from keycube.network import (
+    MAX_BODY_BYTES,
     TRANSPORT_WIRE,
     NetworkConfig,
+    _copy,
     build_network,
     experiment_keywords,
     populate,
@@ -285,6 +289,17 @@ def test_forward_body_nested_too_deeply_is_bad_request(wire_net):
     assert_bad_request(resp)
 
 
+def raw_exchange(port, request):
+    """Send raw request bytes and read until the server closes: (status line, JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0], json.loads(payload)
+
+
 @pytest.mark.parametrize("length", ["abc", "-1"])
 def test_bad_content_length_is_bad_request(length):
     base = free_port_block(2)
@@ -292,15 +307,21 @@ def test_bad_content_length_is_bad_request(length):
         body = b'{"cid": "c", "keywords": []}'
         request = (f"POST /insert HTTP/1.1\r\nHost: 127.0.0.1\r\n"
                    f"Content-Length: {length}\r\n\r\n").encode() + body
-        with socket.create_connection(("127.0.0.1", base), timeout=5) as sock:
-            sock.sendall(request)
-            reply = b""
-            while chunk := sock.recv(4096):  # the server closes after its reply
-                reply += chunk
-        head, _, payload = reply.partition(b"\r\n\r\n")
-        assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
-        assert json.loads(payload)["error"] == "BadRequest"
+        status, payload = raw_exchange(base, request)  # the server closes after its reply
+        assert status == b"HTTP/1.1 400 Bad Request"
+        assert payload["error"] == "BadRequest"
         assert net.pin_search(NodeId.parse("0"), []).cids == ()
+
+
+def test_oversized_content_length_is_refused_unread():
+    base = free_port_block(2)
+    with build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base)):
+        request = (b"POST /internal/forward HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                   b"Content-Length: 2147483648\r\n\r\n")  # and no body at all
+        status, payload = raw_exchange(base, request)
+        assert status == b"HTTP/1.1 400 Bad Request"
+        assert payload["error"] == "BadRequest"
+        assert str(MAX_BODY_BYTES) in payload["detail"]
 
 
 def exploding_hash(word, r):
@@ -348,6 +369,39 @@ def test_forged_envelope_is_bad_request(wire_net, case):
     assert_bad_request(resp)
 
 
+# Envelopes over a budget that honest routing keeps: at most r=3 hops, one
+# visited entry per hop, and no more collected cids than the limit.
+OVER_BUDGET_ENVELOPES = {
+    "pin, negative hops": {"op": "pin", "target": "100", "keywords": KEYS_AT_100,
+                           "hops": -1, "visited": []},
+    "pin, hops above r": {"op": "pin", "target": "100", "keywords": KEYS_AT_100,
+                          "hops": 4, "visited": ["000", "001", "011", "111"]},
+    "ping, visited longer than hops": {"op": "ping", "target": "110", "hops": 1,
+                                       "visited": ["000", "010"]},
+    "superset, visited longer than hops": {"op": "superset", "target": "100",
+                                           "keywords": KEYS_AT_100, "hops": 0, "limit": 5,
+                                           "visited": ["010"]},
+    "superset_visit, collected over limit": {"op": "superset_visit", "target": "100",
+                                             "keywords": KEYS_AT_100, "limit": 2,
+                                             "collected": ["a", "b", "c"], "visited": []},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_BUDGET_ENVELOPES))
+def test_envelope_over_budget_is_bad_request(wire_net, case):
+    resp = requests.post(f"{addr(wire_net, '110')}/internal/forward",
+                         json=OVER_BUDGET_ENVELOPES[case], timeout=5)
+    assert_bad_request(resp)
+
+
+def test_envelope_at_full_budget_is_accepted(wire_net):
+    env = {"op": "pin", "target": "100", "keywords": KEYS_AT_100, "hops": 3,
+           "visited": ["011", "111", "101"]}
+    resp = requests.post(f"{addr(wire_net, '100')}/internal/forward", json=env, timeout=5)
+    assert resp.status_code == 200
+    assert resp.json()["hops"] == 3
+
+
 def test_superset_leg_failure_reports_the_whole_path():
     base = free_port_block(8)
     net = build_network(NetworkConfig(r=3, transport=TRANSPORT_WIRE, base_port=base))
@@ -361,6 +415,71 @@ def test_superset_leg_failure_reports_the_whole_path():
         assert info.value.visited == [n.text for n in order[:3]]
     finally:
         net.close()
+
+
+# --- in-process legs: a strict structural copy ----------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+def containers(value):
+    """Every list, tuple and dict reachable from value, itself included."""
+    if isinstance(value, dict):
+        return [value] + [c for v in value.values() for c in containers(v)]
+    if isinstance(value, (list, tuple)):
+        return [value] + [c for v in value for c in containers(v)]
+    return []
+
+
+@given(json_values)
+@settings(max_examples=300, deadline=None)
+def test_copy_is_the_json_round_trip_without_shared_objects(value):
+    copied = _copy(value)
+    assert copied == json.loads(json.dumps(value))
+    originals = {id(c) for c in containers(value)}
+    assert not any(id(c) in originals for c in containers(copied))
+
+
+@pytest.mark.parametrize("value", [
+    {"a", "b"}, b"bytes", object(), {1: "a"}, {"visited": [{"nested": {2: 3}}]},
+    ["ok", {"bad": {"x"}}]],
+    ids=["set", "bytes", "object", "int key", "nested int key", "nested set"])
+def test_copy_rejects_what_json_does_not_carry(value):
+    with pytest.raises(TypeError):
+        _copy(value)
+
+
+def test_in_process_legs_share_no_objects(monkeypatch):
+    net = make_net(3)
+    start, target = net.nodes[NodeId.parse("011")], net.nodes[NodeId.parse("111")]
+    legs = []
+    handled = []
+    call, handle = start.transport.call, target.handle_forward
+
+    def spy_call(node_id, envelope):
+        reply = call(node_id, envelope)
+        legs.append((envelope, reply))
+        return reply
+
+    def spy_handle(envelope):
+        reply = handle(envelope)
+        handled.append((envelope, reply))
+        return reply
+
+    monkeypatch.setattr(start.transport, "call", spy_call)
+    monkeypatch.setattr(target, "handle_forward", spy_handle)
+    net.pin_search(start.id, KEYS_AT_111)
+    [(sent, received)] = legs  # one hop: 011 and 111 differ in one bit
+    [(arrived, replied)] = handled
+    assert arrived is not sent and arrived["visited"] is not sent["visited"]
+    assert arrived["keywords"] is not sent["keywords"]
+    assert sent["visited"] == ["011"] and arrived["visited"] == ["011", "111"]
+    assert received is not replied and received["visited"] is not replied["visited"]
+    assert received == replied
 
 
 # --- transport equivalence ------------------------------------------------------------
