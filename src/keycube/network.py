@@ -104,6 +104,8 @@ def _copy(x):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
         return {k: v if type(v) in _SCALARS else _copy(v) for k, v in x.items()}
     if kind is list or kind is tuple:
+        if _SCALARS.issuperset(map(type, x)):  # flat, e.g. `collected`: one C-level copy
+            return list(x)
         return [v if type(v) in _SCALARS else _copy(v) for v in x]
     if kind in _SCALARS:
         return x
@@ -232,8 +234,10 @@ def _json_object(raw: bytes) -> dict:
 
 def _check_fields(body: dict, fields: dict[str, type]) -> dict:
     for key, kind in fields.items():
-        if not isinstance(body.get(key), kind):
-            raise BadRequest(f"field {key!r} must be {kind.__name__}, got {body.get(key)!r}")
+        value = body.get(key)
+        # No field is a bool, and a JSON `true` must not pass as an int.
+        if type(value) is bool or not isinstance(value, kind):
+            raise BadRequest(f"field {key!r} must be {kind.__name__}, got {value!r}")
     return body
 
 

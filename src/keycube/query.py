@@ -62,7 +62,13 @@ class QueryResult:
 
 
 class Transport(Protocol):
-    """Delivers an envelope to a node and returns that node's reply."""
+    """Delivers an envelope to a node and returns that node's reply.
+
+    The callee must neither keep nor mutate the envelope it is given: a
+    walk node passes one leg dict to all its children in turn. Both
+    transports hand the callee its own copy (a structural copy in process,
+    the decoded JSON body on the wire).
+    """
 
     def call(self, target: NodeId, envelope: dict) -> dict: ...
 
@@ -183,27 +189,33 @@ class LogicalNode:
         keywords = KeywordSet(env["keywords"])
         query_bits = NodeId.parse(env["target"])
         limit = env["limit"]
-        collected: list[str] = list(env["collected"])
+        collected: list[str] = env["collected"]  # the handler's own copy: extended in place
         found_before = len(collected)
         visited = env["visited"]
 
         # Local cap `limit` is enough even with cross-node duplicate cids:
         # if this node alone holds >= limit matches, the union reaches the
-        # quota here; otherwise nothing local was truncated.
-        for cid in self.state.superset_lookup(keywords, query_bits, limit):
-            if len(collected) >= limit:
-                break
-            if cid not in collected:
-                collected.append(cid)
+        # quota here; otherwise nothing local was truncated. The set only
+        # answers membership; the order is the list's.
+        local = self.state.superset_lookup(keywords, query_bits, limit)
+        if local:
+            seen = set(collected)
+            for cid in local:
+                if len(collected) >= limit:
+                    break
+                if cid not in seen:
+                    seen.add(cid)
+                    collected.append(cid)
 
         hops = 0
         if len(collected) < limit:
+            # One leg for all children; its `collected` grows as replies come back.
+            leg = {"op": "superset_visit", "target": env["target"],
+                   "keywords": env["keywords"], "limit": limit,
+                   "collected": collected, "visited": []}
             for child in superset_children(self.id, query_bits):
                 try:
-                    reply = self.transport.call(child, {
-                        "op": "superset_visit", "target": env["target"],
-                        "keywords": list(keywords), "limit": limit,
-                        "collected": collected, "visited": []})
+                    reply = self.transport.call(child, leg)
                 except RoutingFailure as exc:
                     exc.visited = visited + exc.visited  # the whole path walked
                     raise

@@ -13,10 +13,16 @@ integer, so the text form is the integer's binary digits reversed.
 Ids are validated where they enter: `NodeId(r, value)` and `NodeId.parse`.
 Ids derived from a valid id (`flip` and everything built on it) are valid
 by construction and skip that check.
+
+Each keyword's SHA-256 prefix and each parsed id are computed once and
+kept in bounded LRU caches, since keywords and id texts also arrive from
+the wire. Validation stays outside the caches: bad input raises the same
+error on every call, and only valid values are stored.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
@@ -59,12 +65,11 @@ class NodeId:
     @classmethod
     def parse(cls, text: str) -> "NodeId":
         """Build an id from its canonical '0'/'1' text form."""
-        if not isinstance(text, str) or not 1 <= len(text) <= MAX_DIMENSION \
-                or text.strip("01"):
+        if type(text) is not str:  # e.g. an unhashable list must not reach the cache
             raise ValueError(f"not a bit string of 1 to {MAX_DIMENSION} bits: {text!r}")
-        return _valid_id(len(text), int(text[::-1], 2))
+        return _parse_id(text)
 
-    @property
+    @functools.cached_property
     def text(self) -> str:
         """Canonical text form; leftmost character is bit position 0."""
         return format(self.value, f"0{self.r}b")[::-1]
@@ -89,6 +94,13 @@ class NodeId:
         if self.r != other.r:
             raise DimensionMismatch(f"r={self.r} vs r={other.r}")
         return self.value & other.value == other.value
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _parse_id(text: str) -> NodeId:
+    if not 1 <= len(text) <= MAX_DIMENSION or text.strip("01"):
+        raise ValueError(f"not a bit string of 1 to {MAX_DIMENSION} bits: {text!r}")
+    return _valid_id(len(text), int(text[::-1], 2))
 
 
 def _valid_id(r: int, value: int) -> NodeId:
@@ -161,8 +173,13 @@ def keyword_bit(keyword: str, r: int) -> int:
     if not isinstance(keyword, str) or not keyword:
         raise InvalidKeyword(f"keyword must be a non-empty string, got {keyword!r}")
     check_dimension(r)
-    digest = hashlib.sha256(keyword.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % r
+    return _digest_prefix(keyword) % r
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _digest_prefix(keyword: str) -> int:
+    """The first 8 bytes of the keyword's SHA-256 digest, as a big-endian integer."""
+    return int.from_bytes(hashlib.sha256(keyword.encode("utf-8")).digest()[:8], "big")
 
 
 class TableHash:

@@ -1,3 +1,4 @@
+import enum
 import json
 import random
 import socket
@@ -5,7 +6,7 @@ import time
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keycube.errors import (
@@ -394,6 +395,22 @@ def test_envelope_over_budget_is_bad_request(wire_net, case):
     assert_bad_request(resp)
 
 
+# A JSON `true` where an integer belongs; bool subclasses int in Python.
+BOOLEAN_INTEGER_ENVELOPES = {
+    "ping, hops true": {"op": "ping", "target": "110", "hops": True, "visited": ["010"]},
+    "superset_visit, limit true": {"op": "superset_visit", "target": "100",
+                                   "keywords": KEYS_AT_100, "limit": True,
+                                   "collected": [], "visited": []},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEAN_INTEGER_ENVELOPES))
+def test_boolean_for_an_integer_field_is_bad_request(wire_net, case):
+    resp = requests.post(f"{addr(wire_net, '110')}/internal/forward",
+                         json=BOOLEAN_INTEGER_ENVELOPES[case], timeout=5)
+    assert_bad_request(resp)
+
+
 def test_envelope_at_full_budget_is_accepted(wire_net):
     env = {"op": "pin", "target": "100", "keywords": KEYS_AT_100, "hops": 3,
            "visited": ["011", "111", "101"]}
@@ -436,6 +453,8 @@ def containers(value):
 
 
 @given(json_values)
+@example(["a", 1, 2.5, True, None])  # flat: copied in one step
+@example(("a", 1))
 @settings(max_examples=300, deadline=None)
 def test_copy_is_the_json_round_trip_without_shared_objects(value):
     copied = _copy(value)
@@ -444,10 +463,19 @@ def test_copy_is_the_json_round_trip_without_shared_objects(value):
     assert not any(id(c) in originals for c in containers(copied))
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Text(str):
+    pass
+
+
 @pytest.mark.parametrize("value", [
     {"a", "b"}, b"bytes", object(), {1: "a"}, {"visited": [{"nested": {2: 3}}]},
-    ["ok", {"bad": {"x"}}]],
-    ids=["set", "bytes", "object", "int key", "nested int key", "nested set"])
+    ["ok", {"bad": {"x"}}], ["a", Level.LOW], ("a", Text("b"))],
+    ids=["set", "bytes", "object", "int key", "nested int key", "nested set",
+         "IntEnum in flat list", "str subclass in flat tuple"])
 def test_copy_rejects_what_json_does_not_carry(value):
     with pytest.raises(TypeError):
         _copy(value)
@@ -518,6 +546,29 @@ def test_error_types_agree_across_transports(twin_nets, case):
 
 def test_keys_at_111_are_three_hops_from_000():
     assert node_for_keywords(KEYS_AT_111, 3) == NodeId.parse("111")
+
+
+def test_superset_counts_a_cid_stored_under_two_keysets_once():
+    # The cid "dup" sits at the walk root 100 and, under two more keysets,
+    # at 110, the next node walked; "other" sits at 101, the one after.
+    # Were the duplicates counted, limit 2 would stop the walk at 110.
+    universe = experiment_keywords(3)
+    at = {bit: [word for word in universe if keyword_bit(word, 3) == bit] for bit in range(3)}
+    key = at[0][0]
+    stored = [("dup", [key]), ("dup", [key, at[1][0]]), ("dup", [key, at[1][1]]),
+              ("other", [key, at[2][0]])]
+    base = free_port_block(8)
+    wire = build_network(NetworkConfig(r=3, transport=TRANSPORT_WIRE, base_port=base))
+    try:
+        for net in (make_net(3), wire):
+            for cid, keywords in stored:
+                net.insert(cid, keywords)
+            result = net.superset_search(NodeId.parse("000"), [key], 2)
+            assert result.cids == ("dup", "other")
+            assert result.hops == 3
+            assert [n.text for n in result.nodes_visited] == ["000", "100", "110", "101"]
+    finally:
+        wire.close()
 
 
 def test_transports_agree_on_100_queries():

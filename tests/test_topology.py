@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from keycube.errors import (
     InvalidKeyword,
     NotInSupersetRegion,
 )
+from keycube import topology
 from keycube.topology import (
     KeywordSet,
     NodeId,
@@ -92,6 +94,51 @@ def test_keyword_bit_deterministic_and_in_range():
         first = keyword_bit(kw, 7)
         assert 0 <= first < 7
         assert keyword_bit(kw, 7) == first
+
+
+def test_keyword_bit_is_the_sha256_prefix_modulo_r():
+    for kw in ("alpha", "été", "kw0042", "Bologna"):
+        prefix = int.from_bytes(hashlib.sha256(kw.encode("utf-8")).digest()[:8], "big")
+        for r in (1, 5, 12, 32):
+            assert keyword_bit(kw, r) == prefix % r
+
+
+def test_caches_are_bounded():
+    for cached in (topology._digest_prefix, topology._parse_id):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 16
+
+
+BAD_CACHED_INPUTS = [
+    (InvalidKeyword, lambda: keyword_bit("", 4)),
+    (InvalidKeyword, lambda: keyword_bit(b"x", 4)),
+    (ValueError, lambda: keyword_bit("x", 0)),
+    (ValueError, lambda: NodeId.parse(["0"])),
+    (ValueError, lambda: NodeId.parse("012")),
+]
+
+
+@pytest.mark.parametrize("expected,call", BAD_CACHED_INPUTS,
+                         ids=["empty keyword", "bytes keyword", "r=0", "list id", "id '012'"])
+def test_bad_input_raises_the_same_error_cold_and_warm(expected, call):
+    topology._digest_prefix.cache_clear()
+    topology._parse_id.cache_clear()
+    with pytest.raises(expected) as cold:
+        call()
+    keyword_bit("x", 4), NodeId.parse("01"), NodeId.parse("0")  # warm both caches
+    with pytest.raises(expected) as warm:
+        call()
+    assert type(cold.value) is type(warm.value) is expected
+    assert str(cold.value) == str(warm.value)
+
+
+def test_cached_text_leaves_equality_hash_and_order_alone():
+    fresh, formatted = NodeId(5, 6), NodeId(5, 6)
+    assert formatted.text == "01100"
+    assert fresh == formatted and hash(fresh) == hash(formatted)
+    assert not fresh < formatted and not formatted < fresh
+    assert NodeId.parse("01100") == fresh
+    assert NodeId.parse("01100") is NodeId.parse("01100")
 
 
 def test_keyword_bit_roughly_uniform():
