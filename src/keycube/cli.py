@@ -20,7 +20,13 @@ from pathlib import Path
 import requests
 
 from .dao import run_scenario
-from .errors import BootstrapError, ContentNotFound, GatewayUnavailable, ScenarioError
+from .errors import (
+    BootstrapError,
+    ContentNotFound,
+    GatewayUnavailable,
+    RoutingFailure,
+    ScenarioError,
+)
 from .experiment import (
     DEFAULT_LIMIT,
     DEFAULT_QUERIES,
@@ -53,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except requests.RequestException as exc:
+    except (requests.RequestException, RoutingFailure) as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
 

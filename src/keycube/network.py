@@ -8,6 +8,13 @@ by construction, not by luck. The wire transport runs one small HTTP
 server per logical node (one OS port each) speaking the JSON protocol
 below, with node-to-node legs on POST /internal/forward.
 
+Every node-to-node leg and every client call but /info goes through
+`_exchange`: one stdlib `http.client` connection per request, closed as
+soon as the reply is read. There is no pool yet. A server starts one
+handler thread per connection, so a fresh connection per leg keeps every
+forward on a thread the traced benchmark can see; pooled connections
+would keep handler threads that started before tracing did.
+
 Per node, wire mode:
     POST /insert            {"cid": str, "keywords": [str]}
     POST /remove            {"cid": str, "keywords": [str]}
@@ -19,6 +26,7 @@ Per node, wire mode:
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import random
@@ -26,7 +34,7 @@ import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, urlencode, urlparse, urlsplit
 
 import requests
 
@@ -71,9 +79,12 @@ class NetworkConfig:
         if self.transport not in (TRANSPORT_IN_PROCESS, TRANSPORT_WIRE):
             raise ValueError(f"unknown transport {self.transport!r}")
 
+    def port_of(self, node: NodeId) -> int:
+        return self.base_port + node.value
+
     def address_of(self, node: NodeId) -> str:
         """Wire address of a node; a pure function of host, base port and id value."""
-        return f"http://{self.host}:{self.base_port + node.value}"
+        return f"http://{self.host}:{self.port_of(node)}"
 
 
 class InProcessTransport:
@@ -113,33 +124,49 @@ def _copy(x):
 
 
 class WireTransport:
-    """Node-to-node legs as POST /internal/forward to the neighbor's port."""
+    """Node-to-node legs as POST /internal/forward to the neighbor's port.
+
+    Each leg opens its own connection and closes it after the reply (see
+    `_exchange`); nothing is kept between legs.
+    """
 
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
-        self._local = threading.local()
-
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = requests.Session()
-            self._local.session = session
-        return session
 
     def call(self, target: NodeId, envelope: dict) -> dict:
-        url = f"{self.cfg.address_of(target)}/internal/forward"
-        try:
-            resp = self._session().post(url, json=envelope, timeout=WIRE_TIMEOUT)
-        except requests.RequestException as exc:
-            raise RoutingFailure(
-                f"neighbor {target.text} unreachable: {exc}", envelope.get("visited")
-            ) from exc
-        return _reply_or_raise(resp)
+        return _exchange(self.cfg.host, self.cfg.port_of(target), "POST",
+                         "/internal/forward", envelope, envelope.get("visited"))
 
 
-def _reply_or_raise(resp: requests.Response) -> dict:
-    payload = resp.json()
-    if resp.status_code != 200:
+_JSON_HEADERS = {"Content-Type": "application/json"}
+
+
+def _exchange(host: str, port: int, method: str, path: str, body: dict | None = None,
+              visited: list[str] | None = None) -> dict:
+    """Send one request on a fresh connection and return the decoded reply.
+
+    The body is encoded as `requests`' `json=` did. A reply other than 200
+    is re-raised as the error it carries. A connection that fails, or a
+    reply that is not HTTP or not JSON, raises `RoutingFailure` with
+    `visited`, the path walked so far.
+    """
+    data = None if body is None else json.dumps(body, allow_nan=False).encode("utf-8")
+    conn = http.client.HTTPConnection(host, port, timeout=WIRE_TIMEOUT)
+    try:
+        conn.request(method, path, data, _JSON_HEADERS if data is not None else {})
+        resp = conn.getresponse()
+        status, raw = resp.status, resp.read()
+    except (OSError, http.client.HTTPException) as exc:
+        raise RoutingFailure(f"{method} {path} to {host}:{port} failed: {exc}",
+                             visited) from exc
+    finally:
+        conn.close()
+    try:
+        payload = json.loads(raw)
+    except ValueError as exc:
+        raise RoutingFailure(f"{method} {path} to {host}:{port}: reply is not JSON: {exc}",
+                             visited) from exc
+    if status != 200:
         raise_from_payload(payload)
     return payload
 
@@ -289,7 +316,7 @@ def _split_keywords(raw: str) -> list[str]:
 
 def start_node_server(cfg: NetworkConfig, node: LogicalNode) -> _NodeHTTPServer:
     """Bind and serve one logical node on its wire address."""
-    port = cfg.base_port + node.id.value
+    port = cfg.port_of(node.id)
     try:
         server = _NodeHTTPServer((cfg.host, port), _NodeRequestHandler)
     except OSError as exc:
@@ -425,32 +452,44 @@ def build_network(cfg: NetworkConfig) -> Network:
 # -- wire client helpers -----------------------------------------------------
 
 def wire_info(address: str) -> dict:
+    """Still on `requests`, whose error types (`requests.ConnectionError`, ...) it raises."""
     return _reply_or_raise(requests.get(f"{address}/info", timeout=WIRE_TIMEOUT))
 
 
+def _reply_or_raise(resp: requests.Response) -> dict:
+    payload = resp.json()
+    if resp.status_code != 200:
+        raise_from_payload(payload)
+    return payload
+
+
 def wire_insert(address: str, cid: str, keywords: KeywordSet) -> dict:
-    return _reply_or_raise(requests.post(
-        f"{address}/insert", json={"cid": cid, "keywords": list(keywords)},
-        timeout=WIRE_TIMEOUT))
+    return _client_call(address, "POST", "/insert", {"cid": cid, "keywords": list(keywords)})
 
 
 def wire_remove(address: str, cid: str, keywords: KeywordSet) -> dict:
-    return _reply_or_raise(requests.post(
-        f"{address}/remove", json={"cid": cid, "keywords": list(keywords)},
-        timeout=WIRE_TIMEOUT))
+    return _client_call(address, "POST", "/remove", {"cid": cid, "keywords": list(keywords)})
 
 
 def wire_pin(address: str, keywords: KeywordSet) -> dict:
-    return _reply_or_raise(requests.get(
-        f"{address}/pin", params={"keywords": ",".join(keywords)},
-        timeout=WIRE_TIMEOUT))
+    return _client_call(address, "GET", "/pin?" + urlencode({"keywords": ",".join(keywords)}))
 
 
 def wire_superset(address: str, keywords: KeywordSet, limit: int) -> dict:
-    return _reply_or_raise(requests.get(
-        f"{address}/superset",
-        params={"keywords": ",".join(keywords), "limit": str(limit)},
-        timeout=WIRE_TIMEOUT))
+    query = urlencode({"keywords": ",".join(keywords), "limit": str(limit)})
+    return _client_call(address, "GET", "/superset?" + query)
+
+
+def _client_call(address: str, method: str, path: str, body: dict | None = None) -> dict:
+    """`_exchange` with the node at `address`, a base URL such as `http://127.0.0.1:9000`."""
+    try:
+        url = urlsplit(address)
+        host, port = url.hostname, url.port or 80
+    except ValueError as exc:  # a port that is not a number or out of range
+        raise RoutingFailure(f"bad node address {address!r}: {exc}") from None
+    if url.scheme != "http" or not host:
+        raise RoutingFailure(f"bad node address {address!r}: expected http://host:port")
+    return _exchange(host, port, method, path, body)
 
 
 # -- population ----------------------------------------------------------------

@@ -77,10 +77,12 @@ class NodeState:
         with self._lock:
             return set(self._entries.get(keywords, ()))
 
-    def superset_lookup(self, keywords: KeywordSet, query_bits: NodeId,
+    def superset_lookup(self, keywords: Iterable[str], query_bits: NodeId,
                         limit: int) -> list[str]:
         """Up to `limit` cids whose keyword set includes `keywords`.
 
+        `keywords` are the query's words, already checked where the query
+        entered: a KeywordSet or, from the walk, the envelope's list as is.
         `query_bits` is `node_for_keywords(keywords)`, hashed once per query
         and carried by the walk. Deterministic selection: entries sorted by
         canonical keyword set, cids in byte order within an entry.

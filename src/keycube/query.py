@@ -186,7 +186,6 @@ class LogicalNode:
         reply holds only what this subtree added: its new cids and its
         visited segment, which starts at `env["visited"]`.
         """
-        keywords = KeywordSet(env["keywords"])
         query_bits = NodeId.parse(env["target"])
         limit = env["limit"]
         collected: list[str] = env["collected"]  # the handler's own copy: extended in place
@@ -197,7 +196,7 @@ class LogicalNode:
         # if this node alone holds >= limit matches, the union reaches the
         # quota here; otherwise nothing local was truncated. The set only
         # answers membership; the order is the list's.
-        local = self.state.superset_lookup(keywords, query_bits, limit)
+        local = self.state.superset_lookup(env["keywords"], query_bits, limit)
         if local:
             seen = set(collected)
             for cid in local:

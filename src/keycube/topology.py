@@ -160,8 +160,9 @@ class KeywordSet:
     def __reduce__(self):
         return (KeywordSet, (self.words,))
 
-    def issuperset(self, other: "KeywordSet") -> bool:
-        return set(self.words) >= set(other.words)
+    def issuperset(self, words: Iterable[str]) -> bool:
+        """Whether every word in `words` (a KeywordSet or any iterable) is in this set."""
+        return set(self.words).issuperset(words)
 
 
 def keyword_bit(keyword: str, r: int) -> int:

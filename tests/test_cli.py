@@ -1,4 +1,5 @@
 import base64
+import itertools
 import json
 import signal
 import subprocess
@@ -12,6 +13,7 @@ from keycube import cli
 from keycube.cli import main
 from keycube.errors import ContentNotFound
 from keycube.network import TRANSPORT_WIRE, NetworkConfig, build_network, wire_info
+from keycube.topology import NodeId, node_for_keywords
 
 from test_network import free_port_block
 
@@ -71,6 +73,23 @@ def test_experiment_bad_nodes_usage_error():
 def test_unreachable_target_exits_3(capsys):
     port = free_port_block(1)
     code = main(["pin", "--target", f"http://127.0.0.1:{port}", "--keywords", "a"])
+    assert code == 3
+    assert "transport error" in capsys.readouterr().err
+
+
+def test_failed_leg_behind_the_entry_node_exits_3(capsys):
+    base = free_port_block(4)
+    net = build_network(NetworkConfig(r=2, transport=TRANSPORT_WIRE, base_port=base))
+    down = NodeId.parse("10")
+    word = next(w for w in (f"kw{i}" for i in itertools.count())
+                if node_for_keywords([w], 2) == down)
+    try:
+        dead = net.servers.pop(down.value)
+        dead.shutdown()
+        dead.server_close()
+        code = main(["pin", "--target", url(base), "--keywords", word])  # entry node 00
+    finally:
+        net.close()
     assert code == 3
     assert "transport error" in capsys.readouterr().err
 

@@ -2,7 +2,9 @@ import enum
 import json
 import random
 import socket
+import threading
 import time
+from urllib.parse import urlencode
 
 import pytest
 import requests
@@ -20,11 +22,13 @@ from keycube.network import (
     MAX_BODY_BYTES,
     TRANSPORT_WIRE,
     NetworkConfig,
+    WireTransport,
     _copy,
     build_network,
     experiment_keywords,
     populate,
     wire_info,
+    wire_insert,
     wire_pin,
     wire_remove,
     wire_superset,
@@ -432,6 +436,101 @@ def test_superset_leg_failure_reports_the_whole_path():
         assert info.value.visited == [n.text for n in order[:3]]
     finally:
         net.close()
+
+
+# --- the wire client: one stdlib connection per request ---------------------------
+
+class StandInNode:
+    """A raw socket listener that records one request and answers it with `body`.
+
+    `request_line` and `body_sent` hold what the client sent, once the
+    `with` block has ended.
+    """
+
+    def __init__(self, body):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(5)  # accept gives up if no client comes
+        self.port = self.listener.getsockname()[1]
+        self.address = f"http://127.0.0.1:{self.port}"
+        self.reply = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                      + f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
+        self.request_line = self.body_sent = None
+        self.thread = threading.Thread(target=self._answer_one, daemon=True)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.thread.join(timeout=10)
+        self.listener.close()
+
+    def _answer_one(self):
+        conn, _ = self.listener.accept()
+        conn.settimeout(5)
+        with conn:
+            data = b""
+            while b"\r\n\r\n" not in data:
+                data += conn.recv(4096)
+            head, _, body = data.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            headers = {k.lower(): v for k, v in (line.split(": ", 1) for line in lines[1:])}
+            while len(body) < int(headers.get("content-length", 0)):
+                body += conn.recv(4096)
+            self.request_line, self.body_sent = lines[0], body
+            conn.sendall(self.reply)
+
+
+def test_forward_leg_sends_the_envelope_as_json():
+    env = {"op": "superset_visit", "target": "0", "keywords": ["a b", "café"],
+           "limit": 3, "collected": ["cid-ü"], "visited": []}
+    reply = {"cids": ["cid-x"], "hops": 0, "visited": ["0"]}
+    with StandInNode(json.dumps(reply).encode()) as node:
+        cfg = NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=node.port)
+        assert WireTransport(cfg).call(NodeId(1, 0), env) == reply
+    assert node.request_line == "POST /internal/forward HTTP/1.1"
+    assert node.body_sent == json.dumps(env).encode()
+
+
+def test_wire_insert_sends_the_record_as_json():
+    keywords = KeywordSet(["lake", "é", "a b"])
+    with StandInNode(b'{"status": "stored", "node": "0"}') as node:
+        assert wire_insert(node.address, "cid-ü", keywords)["status"] == "stored"
+    assert node.request_line == "POST /insert HTTP/1.1"
+    assert node.body_sent == json.dumps({"cid": "cid-ü", "keywords": list(keywords)}).encode()
+
+
+def test_pin_and_superset_send_urlencoded_queries():
+    keywords = KeywordSet(["a b", "café", "x&y=1"])
+    reply = b'{"cids": [], "hops": 0, "visited": []}'
+    with StandInNode(reply) as pin, StandInNode(reply) as superset:
+        wire_pin(pin.address, keywords)
+        wire_superset(superset.address, keywords, 7)
+    query = urlencode({"keywords": ",".join(keywords)})
+    assert pin.request_line == f"GET /pin?{query} HTTP/1.1"
+    query = urlencode({"keywords": ",".join(keywords), "limit": "7"})
+    assert superset.request_line == f"GET /superset?{query} HTTP/1.1"
+
+
+def test_reply_that_is_not_json_is_a_routing_failure():
+    with StandInNode(b"<html>") as node:
+        with pytest.raises(RoutingFailure, match="/pin"):
+            wire_pin(node.address, KeywordSet(["a"]))
+
+
+def test_pin_search_on_a_closed_wire_network_is_a_routing_failure():
+    net = build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE,
+                                      base_port=free_port_block(2)))
+    net.close()
+    with pytest.raises(RoutingFailure):
+        net.pin_search(NodeId.parse("0"), ["a"])
+
+
+@pytest.mark.parametrize("address", ["127.0.0.1:9000", "ftp://127.0.0.1:9000",
+                                     "http://127.0.0.1:port"])
+def test_bad_node_address_is_a_routing_failure(address):
+    with pytest.raises(RoutingFailure, match="bad node address"):
+        wire_pin(address, KeywordSet(["a"]))
 
 
 # --- in-process legs: a strict structural copy ----------------------------------------
