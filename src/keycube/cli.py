@@ -17,8 +17,6 @@ import sys
 import threading
 from pathlib import Path
 
-import requests
-
 from .dao import run_scenario
 from .errors import (
     BootstrapError,
@@ -59,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (requests.RequestException, RoutingFailure) as exc:
+    except RoutingFailure as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
 

@@ -4,16 +4,16 @@ Queries against the DHT return cids. When a resolver is attached the cids
 can be mapped to the underlying bytes as a post-processing step; the query
 itself is unchanged. Two implementations: an in-memory mock for tests and
 walkthroughs, and a client for a daemon exposing the conventional
-POST /api/v0/cat?arg=<cid> endpoint.
+POST /api/v0/cat?arg=<cid> endpoint, on stdlib `http.client`.
 """
 
 from __future__ import annotations
 
 import base64
+import http.client
 import json
 from typing import Protocol
-
-import requests
+from urllib.parse import urlencode, urlsplit
 
 from .errors import ContentNotFound, GatewayUnavailable
 from .network import Network
@@ -46,7 +46,7 @@ class MockResolver:
 
 
 class DaemonResolver:
-    """Client for a content-addressed storage daemon's HTTP API."""
+    """Client for a daemon at `http(s)://host[:port][/prefix]`; only a 200 reply is content."""
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
@@ -54,14 +54,26 @@ class DaemonResolver:
 
     def resolve(self, cid: str) -> bytes:
         _check_cid(cid)
-        url = f"{self.base_url}/api/v0/cat"
         try:
-            resp = requests.post(url, params={"arg": cid}, timeout=self.timeout)
-        except requests.RequestException as exc:
+            url = urlsplit(self.base_url)
+            connection = {"http": http.client.HTTPConnection,
+                          "https": http.client.HTTPSConnection}.get(url.scheme)
+            if connection is None or not url.hostname or url.query or url.fragment:
+                raise ValueError("expected http(s)://host[:port]")
+            conn = connection(url.hostname, url.port, timeout=self.timeout)
+        except ValueError as exc:  # also a port that is not a number or out of range
+            raise GatewayUnavailable(f"bad daemon URL {self.base_url!r}: {exc}") from None
+        try:
+            conn.request("POST", f"{url.path}/api/v0/cat?" + urlencode({"arg": cid}))
+            resp = conn.getresponse()
+            status, content = resp.status, resp.read()
+        except (OSError, ValueError, http.client.HTTPException) as exc:  # ValueError: a bad URL
             raise GatewayUnavailable(f"daemon at {self.base_url} unreachable: {exc}") from exc
-        if resp.status_code == 200:
-            return resp.content
-        raise ContentNotFound(f"{cid}: daemon answered {resp.status_code}")
+        finally:
+            conn.close()
+        if status == 200:
+            return content
+        raise ContentNotFound(f"{cid}: daemon answered {status}")
 
 
 def _check_cid(cid: str) -> None:

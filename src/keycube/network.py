@@ -8,12 +8,12 @@ by construction, not by luck. The wire transport runs one small HTTP
 server per logical node (one OS port each) speaking the JSON protocol
 below, with node-to-node legs on POST /internal/forward.
 
-Every node-to-node leg and every client call but /info goes through
-`_exchange`: one stdlib `http.client` connection per request, closed as
-soon as the reply is read. There is no pool yet. A server starts one
-handler thread per connection, so a fresh connection per leg keeps every
-forward on a thread the traced benchmark can see; pooled connections
-would keep handler threads that started before tracing did.
+Every node-to-node leg and every client call goes through `_exchange`:
+one stdlib `http.client` connection per request, closed as soon as the
+reply is read. There is no pool yet. A server starts one handler thread
+per connection, so a fresh connection per leg keeps every forward on a
+thread the traced benchmark can see; pooled connections would keep
+handler threads that started before tracing did.
 
 Per node, wire mode:
     POST /insert            {"cid": str, "keywords": [str]}
@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator
 from urllib.parse import parse_qs, urlencode, urlparse, urlsplit
-
-import requests
 
 from .errors import (
     BadRequest,
@@ -145,10 +143,10 @@ def _exchange(host: str, port: int, method: str, path: str, body: dict | None = 
               visited: list[str] | None = None) -> dict:
     """Send one request on a fresh connection and return the decoded reply.
 
-    The body is encoded as `requests`' `json=` did. A reply other than 200
-    is re-raised as the error it carries. A connection that fails, or a
-    reply that is not HTTP or not JSON, raises `RoutingFailure` with
-    `visited`, the path walked so far.
+    The body is `json.dumps` with NaN refused, in UTF-8. A reply other
+    than 200 is re-raised as the error it carries. A connection that
+    fails, or a reply that is not HTTP or not JSON, raises `RoutingFailure`
+    with `visited`, the path walked so far.
     """
     data = None if body is None else json.dumps(body, allow_nan=False).encode("utf-8")
     conn = http.client.HTTPConnection(host, port, timeout=WIRE_TIMEOUT)
@@ -452,15 +450,7 @@ def build_network(cfg: NetworkConfig) -> Network:
 # -- wire client helpers -----------------------------------------------------
 
 def wire_info(address: str) -> dict:
-    """Still on `requests`, whose error types (`requests.ConnectionError`, ...) it raises."""
-    return _reply_or_raise(requests.get(f"{address}/info", timeout=WIRE_TIMEOUT))
-
-
-def _reply_or_raise(resp: requests.Response) -> dict:
-    payload = resp.json()
-    if resp.status_code != 200:
-        raise_from_payload(payload)
-    return payload
+    return _client_call(address, "GET", "/info")
 
 
 def wire_insert(address: str, cid: str, keywords: KeywordSet) -> dict:

@@ -7,11 +7,10 @@ import sys
 import time
 
 import pytest
-import requests
 
 from keycube import cli
 from keycube.cli import main
-from keycube.errors import ContentNotFound
+from keycube.errors import ContentNotFound, RoutingFailure
 from keycube.network import TRANSPORT_WIRE, NetworkConfig, build_network, wire_info
 from keycube.topology import NodeId, node_for_keywords
 
@@ -253,7 +252,7 @@ def test_serve_all_hosts_every_node():
                     continue
                 try:
                     infos[offset] = wire_info(url(base, offset))
-                except requests.RequestException:
+                except RoutingFailure:
                     time.sleep(0.1)
         assert len(infos) == 4
         assert infos[3]["id"] == "11"
@@ -276,7 +275,7 @@ def test_serve_single_node():
         while time.time() < deadline and info is None:
             try:
                 info = wire_info(url(base, 2))
-            except requests.RequestException:
+            except RoutingFailure:
                 time.sleep(0.1)
         assert info == {"id": "010", "r": 3, "neighbors": ["000", "110", "011"]}
     finally:

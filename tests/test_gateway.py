@@ -1,5 +1,8 @@
 import base64
 import json
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -40,6 +43,82 @@ def test_daemon_resolver_unreachable_is_gateway_error():
     resolver = DaemonResolver(f"http://127.0.0.1:{port}", timeout=0.5)
     with pytest.raises(GatewayUnavailable):
         resolver.resolve("cid1")
+
+
+class _StubDaemonHandler(BaseHTTPRequestHandler):
+    """Answers every POST with the server's `reply` and records its method and path."""
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def do_POST(self):
+        self.server.requests.append((self.command, self.path))
+        status, body = self.server.reply
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.fixture
+def stub_daemon():
+    server = HTTPServer(("127.0.0.1", free_port_block(1)), _StubDaemonHandler)
+    server.requests = []
+    server.reply = (200, b"")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def _stub_url(server, path=""):
+    return f"http://127.0.0.1:{server.server_address[1]}{path}"
+
+
+@pytest.mark.parametrize("body", [b"\xff\xfe\x00not utf-8\x80", b""],
+                         ids=["binary", "empty"])
+def test_daemon_resolver_returns_exact_bytes(stub_daemon, body):
+    stub_daemon.reply = (200, body)
+    assert DaemonResolver(_stub_url(stub_daemon)).resolve("cid1") == body
+
+
+def test_daemon_resolver_404_is_content_not_found(stub_daemon):
+    stub_daemon.reply = (404, b"no such cid")
+    with pytest.raises(ContentNotFound, match="404"):
+        DaemonResolver(_stub_url(stub_daemon)).resolve("cid1")
+
+
+def test_daemon_resolver_keeps_prefix_and_encodes_cid(stub_daemon):
+    DaemonResolver(_stub_url(stub_daemon, "/prefix/")).resolve("a b/c")
+    assert stub_daemon.requests == [("POST", "/prefix/api/v0/cat?arg=a+b%2Fc")]
+
+
+def test_daemon_resolver_https_does_not_fall_back_to_plain_http(stub_daemon):
+    stub_daemon.reply = (200, b"plain")
+    url = _stub_url(stub_daemon).replace("http://", "https://")
+    with pytest.raises(GatewayUnavailable):
+        DaemonResolver(url, timeout=2).resolve("cid1")
+
+
+@pytest.mark.parametrize("base_url", ["ftp://127.0.0.1:1", "http://127.0.0.1:notaport",
+                                      "http:///no-host", "http://127.0.0.1:1/a b"])
+def test_daemon_resolver_bad_url_is_gateway_error(base_url):
+    with pytest.raises(GatewayUnavailable):
+        DaemonResolver(base_url).resolve("cid1")
+
+
+def test_daemon_resolver_silent_daemon_times_out():
+    silent = socket.socket()  # accepts connections into its backlog, never answers
+    try:
+        silent.bind(("127.0.0.1", free_port_block(1)))
+        silent.listen(1)
+        resolver = DaemonResolver(f"http://127.0.0.1:{silent.getsockname()[1]}", timeout=0.2)
+        with pytest.raises(GatewayUnavailable):
+            resolver.resolve("cid1")
+    finally:
+        silent.close()
 
 
 def test_pin_with_content_empty_result(wiki_net):

@@ -102,7 +102,7 @@ def test_close_stops_all_servers_at_once():
     net.close()
     assert time.perf_counter() - start < 3.0
     for address in addresses:
-        with pytest.raises(requests.ConnectionError):
+        with pytest.raises(RoutingFailure):
             wire_info(address)
 
 
@@ -531,6 +531,11 @@ def test_pin_search_on_a_closed_wire_network_is_a_routing_failure():
 def test_bad_node_address_is_a_routing_failure(address):
     with pytest.raises(RoutingFailure, match="bad node address"):
         wire_pin(address, KeywordSet(["a"]))
+
+
+def test_wire_info_bad_address_is_routing_failure():
+    with pytest.raises(RoutingFailure, match="bad node address"):
+        wire_info("ftp://x")
 
 
 # --- in-process legs: a strict structural copy ----------------------------------------
