@@ -15,7 +15,7 @@ class KeycubeError(Exception):
 # --- hypercube topology ---------------------------------------------------
 
 class InvalidKeyword(KeycubeError):
-    """A keyword was empty or not a string."""
+    """A keyword was empty, not a string, or contained a ","."""
 
 
 class DimensionMismatch(KeycubeError):

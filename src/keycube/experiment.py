@@ -4,8 +4,8 @@ For every (node count, object count) cell a fresh in-process network is
 built and populated, then a batch of random pin searches and a batch of
 random superset searches are run, each from a uniformly random start node
 with a uniformly random query keyword set. Query keysets come from the
-same generator as object keysets, so many pin queries legitimately return
-nothing; the hop count is what is measured.
+same generator as object keysets, `network.random_keyset`, so many pin
+queries legitimately return nothing; the hop count is what is measured.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Iterable
 
-from .network import NetworkConfig, build_network, experiment_keywords, populate
-from .topology import KeywordSet, NodeId
+from .network import NetworkConfig, build_network, experiment_keywords, populate, random_keyset
+from .topology import NodeId
 
 DEFAULT_NODE_COUNTS = (8, 16, 32, 64, 128)
 DEFAULT_OBJECT_COUNTS = (10, 100, 1000)
@@ -113,11 +113,6 @@ def derive_seed(seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _random_keywords(rng: random.Random, universe: list[str], r: int) -> KeywordSet:
-    size = rng.randint(1, r)
-    return KeywordSet(rng.sample(universe, size))
-
-
 def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     """Run every cell of the plan; the report is a pure function of the plan."""
     report = ExperimentReport(plan)
@@ -132,7 +127,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
                 hops = []
                 for index in range(plan.queries_per_cell):
                     start = NodeId(r, rng.randrange(nodes))
-                    keywords = _random_keywords(rng, universe, r)
+                    keywords = random_keyset(rng, universe, r)
                     if op == "pin":
                         result = net.pin_search(start, keywords)
                     else:

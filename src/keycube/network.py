@@ -271,22 +271,27 @@ def _record(raw: bytes) -> tuple[str, KeywordSet]:
     return body["cid"], KeywordSet(body["keywords"])
 
 
+_STR = frozenset({str})
+
+
 def _envelope(raw: bytes, state: NodeState) -> dict:
     """Decode an envelope; its target and budgets are checked here so handlers can trust it.
 
-    Greedy routing fixes one bit per hop, so a routed envelope arrives with
-    at most r hops and one `visited` entry per hop; a walk leg's `collected`
-    never holds more than its `limit`.
+    `visited` and `collected` hold strings only. `visited` is the path and
+    the only record of the hop count: greedy routing fixes one bit per hop
+    and each node on the way appends itself, so a routed envelope arrives
+    with at most r entries. A walk leg's `collected` never holds more than
+    its `limit`.
     """
     env = _check_fields(_json_object(raw), {"op": str, "visited": list})
-    _check_fields(env, ENVELOPE_FIELDS.get(env["op"], {}))
-    if env["op"] in ROUTED_OPS:
-        hops = env["hops"]
-        if not 0 <= hops <= state.r:
-            raise BadRequest(f"hops {hops} is outside 0..{state.r}")
-        if len(env["visited"]) > hops:
-            raise BadRequest(f"{len(env['visited'])} visited entries for {hops} hops")
-    elif env["op"] == "superset_visit" and len(env["collected"]) > env["limit"]:
+    op = env["op"]
+    _check_fields(env, ENVELOPE_FIELDS.get(op, {}))
+    for key in ("visited", "collected") if op == "superset_visit" else ("visited",):
+        if not _STR.issuperset(map(type, env[key])):
+            raise BadRequest(f"every entry of {key!r} must be a string")
+    if op in ROUTED_OPS and len(env["visited"]) > state.r:
+        raise BadRequest(f"{len(env['visited'])} visited entries exceed r={state.r}")
+    if op == "superset_visit" and len(env["collected"]) > env["limit"]:
         raise BadRequest(f"{len(env['collected'])} collected cids exceed limit {env['limit']}")
     if "target" in env:
         try:
@@ -309,7 +314,8 @@ def _limit(raw: str) -> int:
 
 
 def _split_keywords(raw: str) -> list[str]:
-    return [part for part in raw.split(",") if part] if raw else []
+    """The parts of a comma-joined list; an empty part is kept, so `KeywordSet` refuses it."""
+    return raw.split(",") if raw else []
 
 
 def start_node_server(cfg: NetworkConfig, node: LogicalNode) -> _NodeHTTPServer:
@@ -507,22 +513,25 @@ def experiment_keywords(r: int, per_position: int = 4,
     return sorted(word for bucket in buckets.values() for word in bucket)
 
 
-def populate(net: Network, count: int, seed: int) -> list[ObjectRecord]:
-    """Insert `count` objects with random keyword sets, routed from random nodes.
+def random_keyset(rng: random.Random, universe: list[str], r: int) -> KeywordSet:
+    """A set size drawn uniformly from [1, r], then that many distinct words of `universe`."""
+    return KeywordSet(rng.sample(universe, rng.randint(1, r)))
 
-    Each object draws a set size uniformly from [1, r], then that many
-    distinct keywords from the experiment universe. A pure function of the
-    seed: same seed, same placement.
+
+def populate(net: Network, count: int, seed: int) -> list[ObjectRecord]:
+    """Insert `count` objects with `random_keyset`s from the experiment universe.
+
+    Each is routed from a random node. A pure function of the seed: same
+    seed, same placement.
     """
     rng = random.Random(seed)
     r = net.cfg.r
     universe = experiment_keywords(r, hash_fn=net.cfg.hash_fn)
     inserted = []
     for i in range(count):
-        size = rng.randint(1, r)
-        words = rng.sample(universe, size)
+        keywords = random_keyset(rng, universe, r)
         start = NodeId(r, rng.randrange(1 << r))
-        record = ObjectRecord(f"obj-{i:05d}", KeywordSet(words))
+        record = ObjectRecord(f"obj-{i:05d}", keywords)
         net.insert(record.cid, record.keywords, start=start)
         inserted.append(record)
     return inserted

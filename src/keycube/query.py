@@ -1,14 +1,18 @@
 """Distributed query execution over the hypercube.
 
 Requests travel as JSON-able envelopes. A routed envelope is forwarded
-greedily toward its target id one bit-fix at a time; every forward costs
-one hop and every handling node appends itself to the envelope's visited
-list. Superset searches switch at the responsible node into a sequential
-depth-first walk of the spanning tree over the bit-superset region,
-stopping as soon as the result quota is met. Tree edges are counted once,
-forward only; the walk-back is free. A tree edge carries back only its
-subtree's new cids and visited segment, which the parent appends, so a
-walk's work is linear in its hops.
+greedily toward its target id one bit-fix at a time; every handling node
+appends itself to the envelope's visited list. That list is the only
+record of the path: a query's hop count is `len(visited) - 1`, computed
+where the client reply is built, and no envelope or walk reply carries a
+counter of its own. Superset searches switch at the responsible node into
+a sequential depth-first walk of the spanning tree over the bit-superset
+region, stopping as soon as the result quota is met. Each tree node is
+visited once and each tree edge counts one hop, forward only; the
+walk-back is free. A tree edge carries back only its subtree's new cids
+and visited segment, which the parent appends. Every walk leg still
+carries `collected`, every cid found so far, so a leg's cost grows with
+min(limit, cids found) and an exhaustive walk is not linear in its hops.
 
 A query's keywords are hashed to its target id once, at the node where it
 enters. Every walk leg carries the root's id as `target`, so no tree node
@@ -36,9 +40,9 @@ from .topology import (
 ROUTED_OPS = ("ping", "insert", "remove", "pin", "superset")
 
 # JSON type of each field an envelope must carry besides "op" and "visited".
-_ROUTED_FIELDS = {"target": str, "keywords": list, "hops": int}
+_ROUTED_FIELDS = {"target": str, "keywords": list}
 ENVELOPE_FIELDS: dict[str, dict[str, type]] = {
-    "ping": {"target": str, "hops": int},
+    "ping": {"target": str},
     "insert": {**_ROUTED_FIELDS, "cid": str},
     "remove": {**_ROUTED_FIELDS, "cid": str},
     "pin": _ROUTED_FIELDS,
@@ -101,13 +105,7 @@ class LogicalNode:
         return self._handle(self._routed_envelope("superset", keywords, limit=limit))
 
     def client_ping(self, target: NodeId) -> dict:
-        env = {
-            "op": "ping",
-            "target": target.text,
-            "hops": 0,
-            "visited": [self.id.text],
-        }
-        return self._handle(env)
+        return self._handle({"op": "ping", "target": target.text, "visited": [self.id.text]})
 
     def info(self) -> dict:
         return {
@@ -122,7 +120,6 @@ class LogicalNode:
             "op": op,
             "target": target.text,
             "keywords": list(keywords),
-            "hops": 0,
             "visited": [self.id.text],
         }
         env.update(extra)
@@ -140,7 +137,6 @@ class LogicalNode:
         if op in ROUTED_OPS:
             target = NodeId.parse(env["target"])
             if self.id != target:
-                env["hops"] += 1
                 return self.transport.call(next_hop(self.id, target), env)
             return self._at_target(env)
         if op == "superset_visit":
@@ -149,9 +145,10 @@ class LogicalNode:
 
     def _at_target(self, env: dict) -> dict:
         op = env["op"]
+        visited = env["visited"]
         if op == "ping":
             return {"status": "ok", "node": self.id.text,
-                    "hops": env["hops"], "visited": env["visited"]}
+                    "hops": len(visited) - 1, "visited": visited}
         if op == "insert":
             self.state.insert(ObjectRecord(env["cid"], KeywordSet(env["keywords"])))
             return {"status": "stored", "node": self.id.text}
@@ -160,7 +157,7 @@ class LogicalNode:
             return {"status": "removed" if found else "not_found", "node": self.id.text}
         if op == "pin":
             cids = sorted(self.state.pin_lookup(KeywordSet(env["keywords"])))
-            return {"cids": cids, "hops": env["hops"], "visited": env["visited"]}
+            return {"cids": cids, "hops": len(visited) - 1, "visited": visited}
         # superset: the responsible node roots the tree walk. It is already
         # on the visited list, so the root visit must not append it again.
         visit = self._superset_visit(
@@ -169,14 +166,11 @@ class LogicalNode:
                 "keywords": env["keywords"],
                 "limit": env["limit"],
                 "collected": [],
-                "visited": env["visited"],
+                "visited": visited,
             }
         )
-        return {
-            "cids": visit["cids"],
-            "hops": env["hops"] + visit["hops"],
-            "visited": visit["visited"],
-        }
+        visited = visit["visited"]
+        return {"cids": visit["cids"], "hops": len(visited) - 1, "visited": visited}
 
     def _superset_visit(self, env: dict) -> dict:
         """Visit one tree node: collect locally, then descend while short.
@@ -206,7 +200,6 @@ class LogicalNode:
                     seen.add(cid)
                     collected.append(cid)
 
-        hops = 0
         if len(collected) < limit:
             # One leg for all children; its `collected` grows as replies come back.
             leg = {"op": "superset_visit", "target": env["target"],
@@ -220,7 +213,6 @@ class LogicalNode:
                     raise
                 collected += reply["cids"]
                 visited += reply["visited"]
-                hops += 1 + reply["hops"]
                 if len(collected) >= limit:
                     break
-        return {"cids": collected[found_before:], "hops": hops, "visited": visited}
+        return {"cids": collected[found_before:], "visited": visited}

@@ -115,7 +115,9 @@ class KeywordSet:
     """A canonical set of keywords: deduplicated, sorted by UTF-8 byte order.
 
     Python compares str by code point, which for valid UTF-8 coincides with
-    byte order, so plain string sorting yields the canonical order.
+    byte order, so plain string sorting yields the canonical order. A
+    keyword may not contain ",": the wire's query strings join keywords
+    with it, and both transports must accept the same sets.
     """
 
     __slots__ = ("words",)
@@ -126,8 +128,8 @@ class KeywordSet:
         seen = set()
         cleaned = []
         for w in words:
-            if not isinstance(w, str) or not w:
-                raise InvalidKeyword(f"keyword must be a non-empty string, got {w!r}")
+            if not isinstance(w, str) or not w or "," in w:
+                raise InvalidKeyword(f"keyword must be a non-empty string without ',', got {w!r}")
             if w not in seen:
                 seen.add(w)
                 cleaned.append(w)

@@ -4,6 +4,7 @@ import random
 import socket
 import threading
 import time
+from types import SimpleNamespace
 from urllib.parse import urlencode
 
 import pytest
@@ -217,9 +218,18 @@ def test_error_payloads_cross_the_wire(wire_net):
                         params={"keywords": ""}, timeout=5)
     # Empty keyword set is legal and routes to the all-zeros node.
     assert resp.status_code == 200
+    assert requests.get(f"{addr(wire_net, '000')}/pin", timeout=5).status_code == 200
     resp = requests.get(f"{addr(wire_net, '000')}/superset",
                         params={"keywords": "a", "limit": "0"}, timeout=5)
     assert resp.status_code == 400
+
+
+@pytest.mark.parametrize("query", ["/pin?keywords=a,,b", "/pin?keywords=a,",
+                                   "/superset?keywords=,a&limit=2"])
+def test_empty_keyword_in_a_query_string_is_invalid(wire_net, query):
+    resp = requests.get(f"{addr(wire_net, '000')}{query}", timeout=5)
+    assert resp.status_code == 400
+    assert resp.json()["error"] == "InvalidKeyword"
 
 
 def test_superset_visited_follows_region_order_over_wire(wire_net):
@@ -281,7 +291,7 @@ def test_forward_body_that_is_a_list_is_bad_request(wire_net):
     (op, field) for op, fields in ENVELOPE_FIELDS.items()
     for field in ("op", "visited", *fields)])
 def test_forward_missing_any_field_is_bad_request(wire_net, op, field):
-    env = {"op": op, "target": "011", "keywords": ["kw0000"], "hops": 0, "cid": "c",
+    env = {"op": op, "target": "011", "keywords": ["kw0000"], "cid": "c",
            "limit": 3, "collected": [], "visited": []}
     del env[field]
     resp = requests.post(f"{addr(wire_net, '000')}/internal/forward", json=env, timeout=5)
@@ -350,42 +360,53 @@ def test_unexpected_handler_error_gets_a_500_reply():
         assert net.pin_search(NodeId.parse("11"), ["kw0000"]).cids == ()
 
 
-# Envelopes whose target is not the id of their keywords, or not r=3 bits long.
+# Envelopes whose target is not the id of their keywords, or not r=3 bits
+# long, or whose path or results hold an entry that is not a string.
 KEYS_AT_100 = [next(word for word in experiment_keywords(3) if keyword_bit(word, 3) == 0)]
 FORGED_ENVELOPES = {
     "superset_visit, wrong target": {"op": "superset_visit", "target": "110",
                                      "keywords": KEYS_AT_100, "limit": 5, "collected": []},
     "superset_visit, short target": {"op": "superset_visit", "target": "10",
                                      "keywords": KEYS_AT_100, "limit": 5, "collected": []},
-    "pin, wrong target": {"op": "pin", "target": "010", "keywords": KEYS_AT_100, "hops": 0},
-    "pin, long target": {"op": "pin", "target": "1000", "keywords": KEYS_AT_100, "hops": 0},
+    "pin, wrong target": {"op": "pin", "target": "010", "keywords": KEYS_AT_100},
+    "pin, long target": {"op": "pin", "target": "1000", "keywords": KEYS_AT_100},
     "superset, wrong target": {"op": "superset", "target": "000", "keywords": KEYS_AT_100,
-                               "hops": 0, "limit": 5},
+                               "limit": 5},
     "superset, non-binary target": {"op": "superset", "target": "1x0",
-                                    "keywords": KEYS_AT_100, "hops": 0, "limit": 5},
-    "ping, long target": {"op": "ping", "target": "11111", "hops": 0},
+                                    "keywords": KEYS_AT_100, "limit": 5},
+    "ping, long target": {"op": "ping", "target": "11111"},
+    "superset_visit, object in collected": {"op": "superset_visit", "target": "100",
+                                            "keywords": KEYS_AT_100, "limit": 5,
+                                            "collected": [{"x": 1}]},
+    "superset_visit, integer in collected": {"op": "superset_visit", "target": "100",
+                                             "keywords": KEYS_AT_100, "limit": 5,
+                                             "collected": [7]},
+    "superset_visit, null in visited": {"op": "superset_visit", "target": "100",
+                                        "keywords": KEYS_AT_100, "limit": 5,
+                                        "collected": [], "visited": [None]},
+    "pin, integer in visited": {"op": "pin", "target": "100", "keywords": KEYS_AT_100,
+                                "visited": [7]},
 }
 
 
 @pytest.mark.parametrize("case", sorted(FORGED_ENVELOPES))
 def test_forged_envelope_is_bad_request(wire_net, case):
-    env = {**FORGED_ENVELOPES[case], "visited": []}
+    env = {"visited": [], **FORGED_ENVELOPES[case]}
     resp = requests.post(f"{addr(wire_net, '110')}/internal/forward", json=env, timeout=5)
     assert_bad_request(resp)
 
 
-# Envelopes over a budget that honest routing keeps: at most r=3 hops, one
-# visited entry per hop, and no more collected cids than the limit.
+# Envelopes over a budget that honest routing keeps: a path of at most r=3
+# hops, so at most 3 visited entries on arrival, and no more collected cids
+# than the limit.
 OVER_BUDGET_ENVELOPES = {
-    "pin, negative hops": {"op": "pin", "target": "100", "keywords": KEYS_AT_100,
-                           "hops": -1, "visited": []},
     "pin, hops above r": {"op": "pin", "target": "100", "keywords": KEYS_AT_100,
-                          "hops": 4, "visited": ["000", "001", "011", "111"]},
-    "ping, visited longer than hops": {"op": "ping", "target": "110", "hops": 1,
-                                       "visited": ["000", "010"]},
-    "superset, visited longer than hops": {"op": "superset", "target": "100",
-                                           "keywords": KEYS_AT_100, "hops": 0, "limit": 5,
-                                           "visited": ["010"]},
+                          "visited": ["000", "001", "011", "111"]},
+    "ping, visited longer than r": {"op": "ping", "target": "110",
+                                    "visited": ["000", "100", "101", "111"]},
+    "superset, visited longer than r": {"op": "superset", "target": "100",
+                                        "keywords": KEYS_AT_100, "limit": 5,
+                                        "visited": ["010", "000", "001", "101"]},
     "superset_visit, collected over limit": {"op": "superset_visit", "target": "100",
                                              "keywords": KEYS_AT_100, "limit": 2,
                                              "collected": ["a", "b", "c"], "visited": []},
@@ -401,7 +422,8 @@ def test_envelope_over_budget_is_bad_request(wire_net, case):
 
 # A JSON `true` where an integer belongs; bool subclasses int in Python.
 BOOLEAN_INTEGER_ENVELOPES = {
-    "ping, hops true": {"op": "ping", "target": "110", "hops": True, "visited": ["010"]},
+    "superset, limit true": {"op": "superset", "target": "100", "keywords": KEYS_AT_100,
+                             "limit": True, "visited": ["000"]},
     "superset_visit, limit true": {"op": "superset_visit", "target": "100",
                                    "keywords": KEYS_AT_100, "limit": True,
                                    "collected": [], "visited": []},
@@ -416,7 +438,7 @@ def test_boolean_for_an_integer_field_is_bad_request(wire_net, case):
 
 
 def test_envelope_at_full_budget_is_accepted(wire_net):
-    env = {"op": "pin", "target": "100", "keywords": KEYS_AT_100, "hops": 3,
+    env = {"op": "pin", "target": "100", "keywords": KEYS_AT_100,
            "visited": ["011", "111", "101"]}
     resp = requests.post(f"{addr(wire_net, '100')}/internal/forward", json=env, timeout=5)
     assert resp.status_code == 200
@@ -627,9 +649,11 @@ KEYS_AT_111 = [next(word for word in experiment_keywords(3) if keyword_bit(word,
                for bit in range(3)]
 
 # Each case fails at its own distance from the start node 000: on the
-# client (bare string), at the start node (limit 0) or at the target.
+# client (bare string, comma), at the start node (limit 0) or at the target.
 ERROR_CASES = {
     "bare-string keywords": (InvalidKeyword, lambda net: net.insert("c", "abc")),
+    "keyword with a comma": (InvalidKeyword, lambda net: net.pin_search(
+        NodeId.parse("000"), ["x,y"])),
     "superset limit 0": (ValueError, lambda net: net.superset_search(
         NodeId.parse("000"), ["kw0000"], 0)),
     "empty cid, 3 hops away": (ValueError, lambda net: net.insert(
@@ -698,3 +722,69 @@ def test_transports_agree_on_100_queries():
             assert a.nodes_visited == b.nodes_visited
     finally:
         wire.close()
+
+
+# --- the path is the hop count ----------------------------------------------------------
+
+# The exact keys of every node-to-node message: no leg and no walk reply
+# carries a hop counter; only a client reply does, derived from `visited`.
+LEG_KEYS = {
+    "ping": {"op", "target", "visited"},
+    "pin": {"op", "target", "keywords", "visited"},
+    "insert": {"op", "target", "keywords", "visited", "cid"},
+    "remove": {"op", "target", "keywords", "visited", "cid"},
+    "superset": {"op", "target", "keywords", "visited", "limit"},
+    "superset_visit": {"op", "target", "keywords", "limit", "collected", "visited"},
+}
+REPLY_KEYS = {
+    "ping": ["status", "node", "hops", "visited"],
+    "pin": ["cids", "hops", "visited"],
+    "insert": ["status", "node"],
+    "remove": ["status", "node"],
+    "superset": ["cids", "hops", "visited"],
+    "superset_visit": ["cids", "visited"],
+}
+
+
+def seeded_queries(net, rng, count):
+    """`count` seeded pins, supersets and routes on `net`, each with its result."""
+    r = net.cfg.r
+    universe = experiment_keywords(r)
+    for i in range(count):
+        start = NodeId(r, rng.randrange(1 << r))
+        keywords = KeywordSet(rng.sample(universe, rng.randint(1, r)))
+        yield net.pin_search(start, keywords)
+        yield net.superset_search(start, keywords, (1, 5, 10**6)[i % 3])
+        yield net.route(start, NodeId(r, rng.randrange(1 << r)))
+
+
+def test_hops_are_the_path_length_and_no_leg_carries_them():
+    net = make_net(8)
+    legs = []
+    call = net.nodes[NodeId(8, 0)].transport.call  # the transport all nodes share
+
+    def recording_call(target, envelope):
+        sent = json.loads(json.dumps(envelope))  # the walk's leg dict changes later
+        reply = call(target, envelope)
+        legs.append((sent, reply))
+        return reply
+
+    recorder = SimpleNamespace(call=recording_call)
+    for node in net.nodes.values():
+        node.transport = recorder
+    gone = populate(net, 200, seed=4)[0]
+    far = NodeId(8, 255 - node_for_keywords(gone.keywords, 8).value)
+    assert net.remove(gone.cid, gone.keywords, start=far)["status"] == "removed"
+    results = list(seeded_queries(net, random.Random(8), 30))
+    assert {sent["op"] for sent, _ in legs} == set(LEG_KEYS)
+    for sent, reply in legs:
+        assert set(sent) == LEG_KEYS[sent["op"]]
+        assert list(reply) == REPLY_KEYS[sent["op"]]
+    for result in results:
+        assert result.hops == len(result.nodes_visited) - 1
+
+    base = free_port_block(8)
+    with build_network(NetworkConfig(r=3, transport=TRANSPORT_WIRE, base_port=base)) as wire:
+        populate(wire, 30, seed=4)
+        for result in seeded_queries(wire, random.Random(8), 10):
+            assert result.hops == len(result.nodes_visited) - 1

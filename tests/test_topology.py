@@ -25,8 +25,9 @@ from keycube.topology import (
     superset_region,
 )
 
+# Any non-empty UTF-8 text without ",", the wire's keyword separator.
 keywords_st = st.text(
-    alphabet=st.characters(codec="utf-8", exclude_categories=["Cs"]),
+    alphabet=st.characters(codec="utf-8", exclude_categories=["Cs"], exclude_characters=","),
     min_size=1, max_size=12)
 
 
