@@ -104,14 +104,23 @@ def _copy(x):
     Scalars pass through; lists and tuples become new lists and dicts new
     dicts. Stricter than `json.dumps`: a dict key must be a `str`, not
     coerced to one, and only these exact types are accepted. Anything else
-    raises `TypeError`.
+    raises `TypeError`. A dict's scalar and flat-list values, all an
+    envelope or reply holds, are copied in the dict's own pass.
     """
     kind = type(x)
     if kind is dict:
-        for key in x:
+        out = {}
+        for key, value in x.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-        return {k: v if type(v) in _SCALARS else _copy(v) for k, v in x.items()}
+            kind = type(value)
+            if kind in _SCALARS:
+                out[key] = value
+            elif (kind is list or kind is tuple) and _SCALARS.issuperset(map(type, value)):
+                out[key] = list(value)
+            else:
+                out[key] = _copy(value)
+        return out
     if kind is list or kind is tuple:
         if _SCALARS.issuperset(map(type, x)):  # flat, e.g. `collected`: one C-level copy
             return list(x)
@@ -275,7 +284,10 @@ _STR = frozenset({str})
 
 
 def _envelope(raw: bytes, state: NodeState) -> dict:
-    """Decode an envelope; its target and budgets are checked here so handlers can trust it.
+    """Decode an envelope, checking its op, fields, target and budgets so handlers can trust it.
+
+    An unknown op or a field the op does not declare is refused. Where the op
+    declares `keywords`, `target` must be their id: the only ownership check.
 
     `visited` and `collected` hold strings only. `visited` is the path and
     the only record of the hop count: greedy routing fixes one bit per hop
@@ -285,7 +297,13 @@ def _envelope(raw: bytes, state: NodeState) -> dict:
     """
     env = _check_fields(_json_object(raw), {"op": str, "visited": list})
     op = env["op"]
-    _check_fields(env, ENVELOPE_FIELDS.get(op, {}))
+    fields = ENVELOPE_FIELDS.get(op)
+    if fields is None:
+        raise BadRequest(f"unknown op {op!r}")
+    _check_fields(env, fields)
+    undeclared = env.keys() - fields.keys() - {"op", "visited"}
+    if undeclared:
+        raise BadRequest(f"op {op!r} takes no field {min(undeclared)!r}")
     for key in ("visited", "collected") if op == "superset_visit" else ("visited",):
         if not _STR.issuperset(map(type, env[key])):
             raise BadRequest(f"every entry of {key!r} must be a string")
@@ -293,16 +311,15 @@ def _envelope(raw: bytes, state: NodeState) -> dict:
         raise BadRequest(f"{len(env['visited'])} visited entries exceed r={state.r}")
     if op == "superset_visit" and len(env["collected"]) > env["limit"]:
         raise BadRequest(f"{len(env['collected'])} collected cids exceed limit {env['limit']}")
-    if "target" in env:
-        try:
-            target = NodeId.parse(env["target"])
-        except ValueError as exc:
-            raise BadRequest(f"bad target: {exc}") from None
-        if target.r != state.r:
-            raise BadRequest(f"target {target.text} does not have r={state.r} bits")
-        if "keywords" in env and target != node_for_keywords(
-                env["keywords"], state.r, state.hash_fn):
-            raise BadRequest(f"target {target.text} is not the id of {env['keywords']!r}")
+    try:  # every op declares a target
+        target = NodeId.parse(env["target"])
+    except ValueError as exc:
+        raise BadRequest(f"bad target: {exc}") from None
+    if target.r != state.r:
+        raise BadRequest(f"target {target.text} does not have r={state.r} bits")
+    if "keywords" in fields and target != node_for_keywords(
+            env["keywords"], state.r, state.hash_fn):
+        raise BadRequest(f"target {target.text} is not the id of {env['keywords']!r}")
     return env
 
 

@@ -45,15 +45,19 @@ class NodeState:
         self._entries: dict[KeywordSet, set[str]] = {}
         self._lock = threading.Lock()
 
-    def responsible_for(self, keywords: KeywordSet) -> bool:
-        return node_for_keywords(keywords, self.r, self.hash_fn) == self.id
+    def _check_owner(self, keywords: KeywordSet, bits: NodeId | None) -> None:
+        if bits is None:
+            bits = node_for_keywords(keywords, self.r, self.hash_fn)
+        if bits != self.id:
+            raise NotResponsible(f"node {self.id.text} does not own keyword set {list(keywords)}")
 
-    def insert(self, record: ObjectRecord) -> None:
-        """Store a record. Idempotent; the node must own the keyword set."""
-        if not self.responsible_for(record.keywords):
-            raise NotResponsible(
-                f"node {self.id.text} does not own keyword set {list(record.keywords)}"
-            )
+    def insert(self, record: ObjectRecord, bits: NodeId | None = None) -> None:
+        """Store a record. Idempotent; the node must own the keyword set.
+
+        `bits` is the set's id if the caller has it (a routed insert passes its
+        target) and is only compared with `self.id`; else the keywords are hashed.
+        """
+        self._check_owner(record.keywords, bits)
         with self._lock:
             self._entries.setdefault(record.keywords, set()).add(record.cid)
 
@@ -68,12 +72,9 @@ class NodeState:
                 del self._entries[record.keywords]
             return True
 
-    def pin_lookup(self, keywords: KeywordSet) -> set[str]:
-        """Cids stored under exactly this keyword set (keyword-level equality)."""
-        if not self.responsible_for(keywords):
-            raise NotResponsible(
-                f"node {self.id.text} does not own keyword set {list(keywords)}"
-            )
+    def pin_lookup(self, keywords: KeywordSet, bits: NodeId | None = None) -> set[str]:
+        """Cids stored under exactly this keyword set; ownership is checked as in `insert`."""
+        self._check_owner(keywords, bits)
         with self._lock:
             return set(self._entries.get(keywords, ()))
 
@@ -92,7 +93,7 @@ class NodeState:
                 f"node {self.id.text} is outside the superset region of {query_bits.text}"
             )
         out: list[str] = []
-        if limit <= 0:
+        if limit <= 0 or not self._entries:  # most nodes of a sparse cube hold nothing
             return out
         with self._lock:
             for entry_keywords in sorted(self._entries):

@@ -14,11 +14,13 @@ and visited segment, which the parent appends. Every walk leg still
 carries `collected`, every cid found so far, so a leg's cost grows with
 min(limit, cids found) and an exhaustive walk is not linear in its hops.
 
-A query's keywords are hashed to its target id once, at the node where it
-enters. Every walk leg carries the root's id as `target`, so no tree node
-hashes them again. Handlers trust the envelopes they are given: the wire
-decode in `network` checks that `target` has r bits and, when the envelope
-has keywords, that it is their id.
+A query's keywords are hashed to its target id once, where it enters.
+The node whose id text is `target` trusts it: insert and pin pass that id
+to `NodeState` as the keywords' bits, and every walk leg carries the root's
+id, so no node hashes them again. Handlers trust the envelopes they are
+given; on the wire, the decode in `network` is the one ownership check: it
+checks that `target` has r bits and, where the op declares keywords, that
+it is their id.
 """
 
 from __future__ import annotations
@@ -135,9 +137,8 @@ class LogicalNode:
     def _handle(self, env: dict) -> dict:
         op = env["op"]
         if op in ROUTED_OPS:
-            target = NodeId.parse(env["target"])
-            if self.id != target:
-                return self.transport.call(next_hop(self.id, target), env)
+            if env["target"] != self.id.text:
+                return self.transport.call(next_hop(self.id, NodeId.parse(env["target"])), env)
             return self._at_target(env)
         if op == "superset_visit":
             return self._superset_visit(env)
@@ -150,25 +151,18 @@ class LogicalNode:
             return {"status": "ok", "node": self.id.text,
                     "hops": len(visited) - 1, "visited": visited}
         if op == "insert":
-            self.state.insert(ObjectRecord(env["cid"], KeywordSet(env["keywords"])))
+            self.state.insert(ObjectRecord(env["cid"], KeywordSet(env["keywords"])), self.id)
             return {"status": "stored", "node": self.id.text}
         if op == "remove":
             found = self.state.remove(ObjectRecord(env["cid"], KeywordSet(env["keywords"])))
             return {"status": "removed" if found else "not_found", "node": self.id.text}
         if op == "pin":
-            cids = sorted(self.state.pin_lookup(KeywordSet(env["keywords"])))
+            cids = sorted(self.state.pin_lookup(KeywordSet(env["keywords"]), self.id))
             return {"cids": cids, "hops": len(visited) - 1, "visited": visited}
         # superset: the responsible node roots the tree walk. It is already
         # on the visited list, so the root visit must not append it again.
-        visit = self._superset_visit(
-            {
-                "target": env["target"],
-                "keywords": env["keywords"],
-                "limit": env["limit"],
-                "collected": [],
-                "visited": visited,
-            }
-        )
+        visit = self._superset_visit({"target": env["target"], "keywords": env["keywords"],
+                                      "limit": env["limit"], "collected": [], "visited": visited})
         visited = visit["visited"]
         return {"cids": visit["cids"], "hops": len(visited) - 1, "visited": visited}
 

@@ -11,8 +11,9 @@ bit position i. Internally position i is stored as the 2**i bit of an
 integer, so the text form is the integer's binary digits reversed.
 
 Ids are validated where they enter: `NodeId(r, value)` and `NodeId.parse`.
-Ids derived from a valid id (`flip` and everything built on it) are valid
-by construction and skip that check.
+Ids derived from a valid id or r (`flip`, `superset_children` and
+`node_for_keywords`) are valid by construction and skip that check;
+`node_for_keywords` only range-checks the positions its hash returns.
 
 Each keyword's SHA-256 prefix and each parsed id are computed once and
 kept in bounded LRU caches, since keywords and id texts also arrive from
@@ -224,8 +225,10 @@ def node_for_keywords(keywords: KeywordSet | Iterable[str], r: int,
         keywords = KeywordSet(keywords)
     value = 0
     for word in keywords:
-        value |= 1 << hash_fn(word, r)
-    return NodeId(r, value)
+        value |= 1 << hash_fn(word, r)  # a negative position raises ValueError here
+    if value >> r:
+        raise ValueError(f"hash_fn returned a bit position >= r={r} for {list(keywords)}")
+    return _valid_id(r, value)
 
 
 def neighbors(node: NodeId) -> list[NodeId]:
@@ -272,11 +275,9 @@ def superset_children(node: NodeId, query: NodeId) -> list[NodeId]:
         ceiling = (free_set & -free_set).bit_length() - 1
     else:
         ceiling = node.r
-    return [
-        node.flip(i)
-        for i in range(ceiling)
-        if not query.value >> i & 1 and not node.value >> i & 1
-    ]
+    # `node` covers `query`, so a position clear in `node` is free.
+    value = node.value
+    return [_valid_id(node.r, value | 1 << i) for i in range(ceiling) if not value >> i & 1]
 
 
 def superset_region(query: NodeId) -> Iterator[NodeId]:

@@ -291,8 +291,8 @@ def test_forward_body_that_is_a_list_is_bad_request(wire_net):
     (op, field) for op, fields in ENVELOPE_FIELDS.items()
     for field in ("op", "visited", *fields)])
 def test_forward_missing_any_field_is_bad_request(wire_net, op, field):
-    env = {"op": op, "target": "011", "keywords": ["kw0000"], "cid": "c",
-           "limit": 3, "collected": [], "visited": []}
+    sample = {"target": "011", "keywords": ["kw0000"], "cid": "c", "limit": 3, "collected": []}
+    env = {"op": op, "visited": [], **{key: sample[key] for key in ENVELOPE_FIELDS[op]}}
     del env[field]
     resp = requests.post(f"{addr(wire_net, '000')}/internal/forward", json=env, timeout=5)
     assert_bad_request(resp)
@@ -361,7 +361,8 @@ def test_unexpected_handler_error_gets_a_500_reply():
 
 
 # Envelopes whose target is not the id of their keywords, or not r=3 bits
-# long, or whose path or results hold an entry that is not a string.
+# long, or whose path or results hold an entry that is not a string, or
+# whose op is unknown or does not declare one of their fields.
 KEYS_AT_100 = [next(word for word in experiment_keywords(3) if keyword_bit(word, 3) == 0)]
 FORGED_ENVELOPES = {
     "superset_visit, wrong target": {"op": "superset_visit", "target": "110",
@@ -386,6 +387,8 @@ FORGED_ENVELOPES = {
                                         "collected": [], "visited": [None]},
     "pin, integer in visited": {"op": "pin", "target": "100", "keywords": KEYS_AT_100,
                                 "visited": [7]},
+    "ping, undeclared keywords": {"op": "ping", "target": "110", "keywords": 5},
+    "unknown op": {"op": "bogus", "target": "110", "keywords": 5},
 }
 
 

@@ -67,6 +67,37 @@ def test_pin_lookup_requires_ownership(rome_node):
         rome_node.pin_lookup(KeywordSet(["Wikipedia"]))
 
 
+# Without `bits` the direct API hashes the keywords itself (tested by
+# test_insert_rejected_off_owner and test_pin_lookup_requires_ownership);
+# with `bits` it checks only that they are the node's id.
+@pytest.mark.parametrize("words,bits", [
+    (["Wikipedia", "Rome"], NodeId.parse("001000")),  # own keywords, foreign bits
+    (["Wikipedia"], NodeId.parse("001000")),          # foreign keywords and their bits
+])
+def test_insert_and_pin_lookup_refuse_a_foreign_id(rome_node, words, bits):
+    with pytest.raises(NotResponsible):
+        rome_node.insert(make_record("cid-x", words), bits)
+    with pytest.raises(NotResponsible):
+        rome_node.pin_lookup(KeywordSet(words), bits)
+    assert rome_node.entry_count() == 0
+
+
+def test_insert_and_pin_lookup_accept_the_node_id_as_bits(rome_node):
+    rome_node.insert(make_record("cid-rome-wiki", ["Wikipedia", "Rome"]), rome_node.id)
+    assert rome_node.pin_lookup(KeywordSet(["Wikipedia", "Rome"]), rome_node.id) == {
+        "cid-rome-wiki"}
+
+
+@pytest.mark.parametrize("position", [6, 7, 64, -1])
+def test_hash_position_out_of_range_is_value_error(rome_node, position):
+    bad_hash = lambda kw, r: position if kw == "bad" else 0
+    with pytest.raises(ValueError):
+        node_for_keywords(["ok", "bad"], 6, bad_hash)
+    rome_node.hash_fn = bad_hash
+    with pytest.raises(ValueError):
+        rome_node.insert(make_record("cid-x", ["bad"]))
+
+
 def test_colliding_keysets_stay_separate():
     # Two distinct keyword sets forced onto one node id.
     collide = {"x": 1, "y": 1, "z": 2}.get

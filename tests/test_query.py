@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from keycube.network import NetworkConfig, build_network, experiment_keywords, populate
+from keycube.network import (
+    TRANSPORT_IN_PROCESS,
+    TRANSPORT_WIRE,
+    NetworkConfig,
+    build_network,
+    experiment_keywords,
+    populate,
+    random_keyset,
+)
+from keycube.query import LogicalNode
 from keycube.topology import (
     KeywordSet,
     NodeId,
@@ -12,9 +21,11 @@ from keycube.topology import (
     keyword_bit,
     node_for_keywords,
     superset_region,
+    table_hash,
 )
 
 from conftest import make_net
+from test_network import free_port_block
 
 
 def brute_force_pin(net, keywords):
@@ -244,6 +255,40 @@ def test_superset_walk_hashes_once_per_query_not_per_hop():
     assert counter.calls <= 2 * len(keywords)
 
 
+def test_forwards_equal_hops_and_each_query_hashes_once(monkeypatch):
+    # The counts the traced benchmark relies on, for one seeded r=5 workload.
+    r = 5
+    counter = CountingHash()
+    net = make_net(r, hash_fn=counter)
+    universe = experiment_keywords(r, hash_fn=counter)
+    forwards = 0
+    handle_forward = LogicalNode.handle_forward
+
+    def counted(self, envelope):
+        nonlocal forwards
+        forwards += 1
+        return handle_forward(self, envelope)
+
+    monkeypatch.setattr(LogicalNode, "handle_forward", counted)
+    rng = random.Random(17)
+    counter.calls = 0
+    expected_hashes = 0
+    for i in range(150):
+        keywords = random_keyset(rng, universe, r)
+        net.insert(f"obj-{i:03d}", keywords, start=NodeId(r, rng.randrange(1 << r)))
+        expected_hashes += len(keywords)
+    forwards = 0
+    hops = 0
+    for _ in range(60):
+        start = NodeId(r, rng.randrange(1 << r))
+        keywords = random_keyset(rng, universe, r)
+        hops += net.pin_search(start, keywords).hops
+        hops += net.superset_search(start, keywords.words[:2], rng.choice((1, 5, 10**6))).hops
+        expected_hashes += len(keywords) + len(keywords.words[:2])
+    assert hops > 0 and forwards == hops
+    assert counter.calls == expected_hashes
+
+
 def test_superset_result_size_contract():
     net = make_net(3)
     populate(net, 40, seed=1)
@@ -298,3 +343,19 @@ def test_duplicate_cid_across_keysets_counted_once():
     res = net.superset_search(NodeId(3, 0), [a], limit=10**6)
     assert sorted(res.cids) == ["cid-own", "cid-shared"]
     assert set(res.cids) == brute_force_superset(net, [a])
+
+
+@pytest.mark.parametrize("transport", [TRANSPORT_IN_PROCESS, TRANSPORT_WIRE])
+def test_duplicate_at_a_child_does_not_stop_its_subtree(transport):
+    # Child 101 holds only a duplicate of `a`; the walk must still enter 111 for `b`.
+    ports = {"base_port": free_port_block(8)} if transport == TRANSPORT_WIRE else {}
+    cfg = NetworkConfig(r=3, transport=transport, hash_fn=table_hash({"w": 0, "x": 1, "y": 2}),
+                        **ports)
+    with build_network(cfg) as net:
+        net.insert("a", ["w"])
+        net.insert("a", ["w", "y"])
+        net.insert("b", ["w", "x", "y"])
+        res = net.superset_search(NodeId.parse("000"), ["w"], 2)
+    assert res.cids == ("a", "b")
+    assert res.hops == 4
+    assert [n.text for n in res.nodes_visited] == ["000", "100", "110", "101", "111"]
