@@ -122,7 +122,7 @@ def _copy(x):
                 out[key] = _copy(value)
         return out
     if kind is list or kind is tuple:
-        if _SCALARS.issuperset(map(type, x)):  # flat, e.g. `collected`: one C-level copy
+        if _SCALARS.issuperset(map(type, x)):  # flat: one C-level copy
             return list(x)
         return [v if type(v) in _SCALARS else _copy(v) for v in x]
     if kind in _SCALARS:
