@@ -4,7 +4,8 @@ Subcommands: serve hosts wire-mode nodes, insert/pin/superset talk to a
 running node over HTTP, experiment reproduces the hop-count grid on the
 in-process simulator, and dao runs a governance scenario file.
 
-Exit codes: 0 success, 2 usage error, 3 transport error.
+Exit codes: 0 success, 1 failure (an error reply from a node, a failed
+bind, an aborted scenario), 2 usage error, 3 transport error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     BootstrapError,
     ContentNotFound,
     GatewayUnavailable,
+    KeycubeError,
     RoutingFailure,
     ScenarioError,
 )
@@ -60,6 +62,11 @@ def main(argv: list[str] | None = None) -> int:
     except RoutingFailure as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except (KeycubeError, ValueError) as exc:  # what a node answered insert, pin or superset
+        if args.command not in ("insert", "pin", "superset"):
+            raise
+        print(f"node error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,6 +172,8 @@ def cmd_serve(args, parser) -> int:
 
 def cmd_insert(args, parser) -> int:
     keywords = _parse_keywords(parser, args.keywords)
+    if not args.cid:
+        parser.error("--cid must not be empty")
     reply = wire_insert(args.target, args.cid, keywords)
     print(json.dumps(reply))
     return 0

@@ -9,9 +9,9 @@ server per logical node (one OS port each) speaking the JSON protocol
 below, with node-to-node legs on POST /internal/forward.
 
 Every node-to-node leg and every client call goes through `_exchange`:
-one stdlib `http.client` connection per request, closed as soon as the
-reply is read. There is no pool yet. A server starts one handler thread
-per connection, so a fresh connection per leg keeps every forward on a
+one socket per request, sent in one write and read until the server
+closes it. There is no pool yet. A server starts one handler thread per
+connection, so a fresh connection per leg keeps every forward on a
 thread the traced benchmark can see; pooled connections would keep
 handler threads that started before tracing did.
 
@@ -26,10 +26,11 @@ Per node, wire mode:
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import random
+import re
+import socket
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -60,6 +61,8 @@ TRANSPORT_IN_PROCESS = "in-process"
 TRANSPORT_WIRE = "wire"
 WIRE_TIMEOUT = 20.0
 MAX_BODY_BYTES = 1 << 20  # a larger Content-Length is refused before any body is read
+_REPLY_HEAD = re.compile(  # a reply's status code, then its Content-Length
+    rb"HTTP/\d\.\d (\d{3})\b.*\r\ncontent-length:[ \t]*(\d+)[ \t]*(?:\r\n|\Z)", re.I | re.S)
 
 logger = logging.getLogger(__name__)
 
@@ -133,7 +136,7 @@ def _copy(x):
 class WireTransport:
     """Node-to-node legs as POST /internal/forward to the neighbor's port.
 
-    Each leg opens its own connection and closes it after the reply (see
+    Each leg opens its own socket and closes it after the reply (see
     `_exchange`); nothing is kept between legs.
     """
 
@@ -145,35 +148,37 @@ class WireTransport:
                          "/internal/forward", envelope, envelope.get("visited"))
 
 
-_JSON_HEADERS = {"Content-Type": "application/json"}
-
-
 def _exchange(host: str, port: int, method: str, path: str, body: dict | None = None,
               visited: list[str] | None = None) -> dict:
-    """Send one request on a fresh connection and return the decoded reply.
+    """Send one request on a fresh socket and return the reply's JSON object.
 
-    The body is `json.dumps` with NaN refused, in UTF-8. A reply other
-    than 200 is re-raised as the error it carries. A connection that
-    fails, or a reply that is not HTTP or not JSON, raises `RoutingFailure`
-    with `visited`, the path walked so far.
+    The request goes out in one send with `Connection: close`, so the
+    reply ends where the server closes (RFC 9112 section 9.6); a body is
+    `json.dumps` with NaN refused, in UTF-8. A reply other than 200 is
+    re-raised as the error it carries. A failed connection, or a reply
+    that is not HTTP, not as long as its Content-Length or not a JSON
+    object, raises `RoutingFailure` with `visited`, the path walked so far.
     """
-    data = None if body is None else json.dumps(body, allow_nan=False).encode("utf-8")
-    conn = http.client.HTTPConnection(host, port, timeout=WIRE_TIMEOUT)
+    where = f"{method} {path} to {host}:{port}"
+    request = f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
+    data = b"" if body is None else json.dumps(body, allow_nan=False).encode("utf-8")
+    if body is not None:
+        request += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
     try:
-        conn.request(method, path, data, _JSON_HEADERS if data is not None else {})
-        resp = conn.getresponse()
-        status, raw = resp.status, resp.read()
-    except (OSError, http.client.HTTPException) as exc:
-        raise RoutingFailure(f"{method} {path} to {host}:{port} failed: {exc}",
-                             visited) from exc
-    finally:
-        conn.close()
+        with socket.create_connection((host, port), timeout=WIRE_TIMEOUT) as sock:
+            sock.sendall((request + "Connection: close\r\n\r\n").encode("ascii") + data)
+            reply = b"".join(iter(lambda: sock.recv(65536), b""))  # until the server closes
+    except OSError as exc:
+        raise RoutingFailure(f"{where} failed: {exc}", visited) from exc
+    head, _, raw = reply.partition(b"\r\n\r\n")
+    framing = _REPLY_HEAD.match(head)
     try:
         payload = json.loads(raw)
-    except ValueError as exc:
-        raise RoutingFailure(f"{method} {path} to {host}:{port}: reply is not JSON: {exc}",
-                             visited) from exc
-    if status != 200:
+    except (ValueError, RecursionError):
+        payload = None
+    if framing is None or int(framing[2]) != len(raw) or type(payload) is not dict:
+        raise RoutingFailure(f"{where}: not a whole HTTP reply holding a JSON object", visited)
+    if framing[1] != b"200":
         raise_from_payload(payload)
     return payload
 
@@ -500,7 +505,7 @@ def _client_call(address: str, method: str, path: str, body: dict | None = None)
         host, port = url.hostname, url.port or 80
     except ValueError as exc:  # a port that is not a number or out of range
         raise RoutingFailure(f"bad node address {address!r}: {exc}") from None
-    if url.scheme != "http" or not host:
+    if url.scheme != "http" or not host or not host.isascii():
         raise RoutingFailure(f"bad node address {address!r}: expected http://host:port")
     return _exchange(host, port, method, path, body)
 

@@ -14,7 +14,7 @@ from keycube.errors import ContentNotFound, RoutingFailure
 from keycube.network import TRANSPORT_WIRE, NetworkConfig, build_network, wire_info
 from keycube.topology import NodeId, node_for_keywords
 
-from test_network import free_port_block
+from test_network import StandInNode, free_port_block, http_reply
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,13 @@ def test_superset_limit_zero_usage_error(served):
     assert err.value.code == 2
 
 
+def test_empty_cid_is_usage_error_before_any_request():
+    dead = free_port_block(1)  # a request would fail as a transport error, code 3
+    with pytest.raises(SystemExit) as err:
+        main(["insert", "--target", url(dead), "--keywords", "a", "--cid", ""])
+    assert err.value.code == 2
+
+
 def test_experiment_bad_nodes_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["experiment", "--nodes", "7"])
@@ -91,6 +98,15 @@ def test_failed_leg_behind_the_entry_node_exits_3(capsys):
         net.close()
     assert code == 3
     assert "transport error" in capsys.readouterr().err
+
+
+# --- node errors ----------------------------------------------------------------
+
+def test_error_reply_exits_1_with_a_node_error_line(capsys):
+    body = json.dumps({"error": "BadRequest", "detail": "field 'cid' must be str"}).encode()
+    with StandInNode(raw=http_reply(body, "400 Bad Request")) as node:
+        assert main(["pin", "--target", node.address, "--keywords", "a"]) == 1
+    assert capsys.readouterr().err == "node error: BadRequest: field 'cid' must be str\n"
 
 
 # --- insert / pin / superset round trip -------------------------------------------

@@ -463,23 +463,30 @@ def test_superset_leg_failure_reports_the_whole_path():
         net.close()
 
 
-# --- the wire client: one stdlib connection per request ---------------------------
+# --- the wire client: one socket per request ----------------------------------------
+
+def http_reply(body, status="200 OK"):
+    """A well-formed JSON reply with `status` and `body` (bytes)."""
+    return (f"HTTP/1.1 {status}\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
 
 class StandInNode:
-    """A raw socket listener that records one request and answers it with `body`.
+    """A raw socket listener that records one request and answers it.
 
-    `request_line` and `body_sent` hold what the client sent, once the
-    `with` block has ended.
+    The answer is `raw`, sent as it is and then the connection closed, or
+    else a 200 reply with `body`. `request_line`, `headers` (names in lower
+    case) and `body_sent` hold what the client sent, once the `with` block
+    has ended.
     """
 
-    def __init__(self, body):
+    def __init__(self, body=b"", raw=None):
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.listener.settimeout(5)  # accept gives up if no client comes
         self.port = self.listener.getsockname()[1]
         self.address = f"http://127.0.0.1:{self.port}"
-        self.reply = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-                      + f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
-        self.request_line = self.body_sent = None
+        self.reply = http_reply(body) if raw is None else raw
+        self.request_line = self.headers = self.body_sent = None
         self.thread = threading.Thread(target=self._answer_one, daemon=True)
 
     def __enter__(self):
@@ -502,7 +509,7 @@ class StandInNode:
             headers = {k.lower(): v for k, v in (line.split(": ", 1) for line in lines[1:])}
             while len(body) < int(headers.get("content-length", 0)):
                 body += conn.recv(4096)
-            self.request_line, self.body_sent = lines[0], body
+            self.request_line, self.headers, self.body_sent = lines[0], headers, body
             conn.sendall(self.reply)
 
 
@@ -515,6 +522,9 @@ def test_forward_leg_sends_the_envelope_as_json():
         assert WireTransport(cfg).call(NodeId(1, 0), env) == reply
     assert node.request_line == "POST /internal/forward HTTP/1.1"
     assert node.body_sent == json.dumps(env).encode()
+    assert int(node.headers["content-length"]) == len(node.body_sent)
+    assert node.headers["host"] == f"127.0.0.1:{node.port}"
+    assert node.headers["connection"] == "close"
 
 
 def test_wire_insert_sends_the_record_as_json():
@@ -543,6 +553,37 @@ def test_reply_that_is_not_json_is_a_routing_failure():
             wire_pin(node.address, KeywordSet(["a"]))
 
 
+# Replies the client cannot use: each is a RoutingFailure carrying the path.
+BROKEN_REPLIES = {
+    "error reply that is not an object": http_reply(b'"oops"', "400 Bad Request"),
+    "200 reply that is not an object": http_reply(b"[1]"),
+    "body shorter than its Content-Length": http_reply(b'{"cids": []}')[:-3],
+    "body longer than its Content-Length": http_reply(b"{}") + b"{}",
+    "status line that is not HTTP": http_reply(b"{}").replace(b"HTTP/1.1", b"ICY", 1),
+    "closed without a reply": b"",
+    "JSON nested too deeply": http_reply(b"[" * 100_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_REPLIES))
+def test_unusable_reply_is_a_routing_failure_with_the_path(case):
+    env = {"op": "ping", "target": "1", "visited": ["0"]}
+    with StandInNode(raw=BROKEN_REPLIES[case]) as node:
+        cfg = NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=node.port)
+        with pytest.raises(RoutingFailure, match="/internal/forward") as info:
+            WireTransport(cfg).call(NodeId(1, 0), env)
+    assert info.value.visited == ["0"]
+
+
+def test_routing_failure_reply_is_reraised_with_its_path():
+    body = json.dumps({"error": "RoutingFailure", "detail": "leg to 11 failed",
+                       "visited": ["00", "01"]}).encode()
+    with StandInNode(raw=http_reply(body, "502 Bad Gateway")) as node:
+        with pytest.raises(RoutingFailure, match="leg to 11 failed") as info:
+            wire_pin(node.address, KeywordSet(["a"]))
+    assert info.value.visited == ["00", "01"]
+
+
 def test_pin_search_on_a_closed_wire_network_is_a_routing_failure():
     net = build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE,
                                       base_port=free_port_block(2)))
@@ -552,7 +593,7 @@ def test_pin_search_on_a_closed_wire_network_is_a_routing_failure():
 
 
 @pytest.mark.parametrize("address", ["127.0.0.1:9000", "ftp://127.0.0.1:9000",
-                                     "http://127.0.0.1:port"])
+                                     "http://127.0.0.1:port", "http://bücher:9000"])
 def test_bad_node_address_is_a_routing_failure(address):
     with pytest.raises(RoutingFailure, match="bad node address"):
         wire_pin(address, KeywordSet(["a"]))
