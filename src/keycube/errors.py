@@ -171,12 +171,17 @@ def error_payload(exc: KeycubeError | ValueError) -> dict:
 
 
 def raise_from_payload(payload: dict) -> None:
-    """Re-raise the error described by a wire error payload."""
+    """Re-raise the error described by a wire error payload.
+
+    An unknown or non-string code raises `KeycubeError`; a `RoutingFailure`
+    whose `visited` is not a list keeps no path.
+    """
     code = payload.get("error", "")
     detail = payload.get("detail", code)
-    cls = _WIRE_CODES.get(code)
+    cls = _WIRE_CODES.get(code) if type(code) is str else None
     if cls is RoutingFailure:
-        raise RoutingFailure(detail, payload.get("visited"))
+        visited = payload.get("visited")
+        raise RoutingFailure(detail, visited if type(visited) is list else None)
     if cls is not None:
         raise cls(detail)
     raise KeycubeError(detail)

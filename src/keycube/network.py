@@ -13,7 +13,11 @@ one socket per request, sent in one write and read until the server
 closes it. There is no pool yet. A server starts one handler thread per
 connection, so a fresh connection per leg keeps every forward on a
 thread the traced benchmark can see; pooled connections would keep
-handler threads that started before tracing did.
+handler threads that started before tracing did. The server side
+mirrors the client: `_read_head` reads each request head without
+`http.client`'s header parser, keeping only the fields the server reads,
+and each reply goes out in one write. A head it refuses gets a JSON
+`BadRequest` reply, and a connection idle for `WIRE_TIMEOUT` is closed.
 
 Per node, wire mode:
     POST /insert            {"cid": str, "keywords": [str]}
@@ -33,8 +37,9 @@ import re
 import socket
 import threading
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterator
+from typing import BinaryIO, Iterator
 from urllib.parse import parse_qs, urlencode, urlparse, urlsplit
 
 from .errors import (
@@ -188,22 +193,131 @@ class _NodeHTTPServer(ThreadingHTTPServer):
     logical_node: LogicalNode
 
 
+class _BadHead(Exception):
+    """A request head the server refuses; `status` is the HTTP status of the reply."""
+
+    def __init__(self, status: HTTPStatus, detail: str):
+        super().__init__(detail)
+        self.status = status
+
+
+# The client went silent for the handler's `timeout`, or went away.
+_CLIENT_GONE = (TimeoutError, ConnectionError)
+_MAX_LINE = 65536  # bytes in the request line or in one header line, as in http.server
+_MAX_HEADERS = 100  # header lines in one head, as in http.client
+_HEAD_FIELDS = frozenset({"content-length", "connection", "expect", "transfer-encoding"})
+
+
+def _read_head(rfile: BinaryIO) -> tuple[str, str, str, dict[str, str]] | None:
+    """Read one request head: method, path, version and the header fields the server reads.
+
+    Field names are lower-cased and values stripped; only `_HEAD_FIELDS` are
+    kept, the first of each. Returns None at the end of the stream. A head
+    that is malformed, too large, or asks for what the server does not
+    speak (a method but GET and POST, a version but HTTP/1.0 and 1.1, any
+    transfer coding) raises `_BadHead`, as do two differing Content-Lengths
+    (RFC 9112 section 6.3).
+    """
+    line = rfile.readline(_MAX_LINE + 1)
+    if not line:
+        return None
+    if len(line) > _MAX_LINE:
+        raise _BadHead(HTTPStatus.REQUEST_URI_TOO_LONG, f"request line over {_MAX_LINE} bytes")
+    words = line.decode("latin-1").split()
+    if len(words) != 3:
+        raise _BadHead(HTTPStatus.BAD_REQUEST, f"bad request line {line[:100]!r}")
+    method, path, version = words
+    if version not in ("HTTP/1.0", "HTTP/1.1"):
+        status = (HTTPStatus.HTTP_VERSION_NOT_SUPPORTED if version.startswith("HTTP/")
+                  else HTTPStatus.BAD_REQUEST)
+        raise _BadHead(status, f"unsupported version {version[:20]!r}")
+    if method not in ("GET", "POST"):
+        raise _BadHead(HTTPStatus.NOT_IMPLEMENTED, f"unsupported method {method[:20]!r}")
+    fields: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = rfile.readline(_MAX_LINE + 1)
+        if line in (b"\r\n", b"\n", b""):
+            break
+        if len(line) > _MAX_LINE:
+            raise _BadHead(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                           f"header line over {_MAX_LINE} bytes")
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or name.split() != [name]:  # no name, or whitespace in or around it
+            raise _BadHead(HTTPStatus.BAD_REQUEST, f"bad header line {line[:100]!r}")
+        name = name.lower()
+        if name in _HEAD_FIELDS:
+            value = value.strip()
+            first = fields.setdefault(name, value)
+            if name == "content-length" and first != value:
+                raise _BadHead(HTTPStatus.BAD_REQUEST, "two Content-Length fields that differ")
+    else:
+        raise _BadHead(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                       f"more than {_MAX_HEADERS} header lines")
+    if "transfer-encoding" in fields:
+        raise _BadHead(HTTPStatus.NOT_IMPLEMENTED,
+                       "no transfer coding is supported; send a Content-Length")
+    return method, path, version, fields
+
+
 class _NodeRequestHandler(BaseHTTPRequestHandler):
+    """One connection to a node server: its requests in turn, each answered with JSON.
+
+    The request head is read by `_read_head`, not by `http.client`'s header
+    parser, and a head it refuses gets a `BadRequest` reply with the
+    status it names, then the connection closes. Otherwise the stdlib's
+    connection rules hold: HTTP/1.1 stays open unless the client sends
+    `Connection: close`, HTTP/1.0 closes unless it sends `keep-alive`, and
+    `Expect: 100-continue` gets `100 Continue` before the body is read. A
+    connection idle or stalled for `timeout` seconds, or reset by the
+    client, is closed unanswered and nothing is logged.
+    """
+
     protocol_version = "HTTP/1.1"
+    timeout = WIRE_TIMEOUT
 
     def log_message(self, fmt, *args):
         pass
 
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except _CLIENT_GONE:  # no one to answer
+            pass
+
+    def handle_one_request(self) -> None:
+        self.close_connection = True
+        try:
+            head = _read_head(self.rfile)
+        except _BadHead as exc:
+            self._send(exc.status, error_payload(BadRequest(str(exc))))
+            return
+        if head is None:
+            return
+        self.command, path, self.request_version, self.fields = head
+        # A leading "//" would make urlparse read a host; http.server folds it too.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        connection = self.fields.get("connection", "").lower()
+        if self.request_version == "HTTP/1.1":
+            self.close_connection = connection == "close"
+            if self.fields.get("expect", "").lower() == "100-continue":
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        else:
+            self.close_connection = connection != "keep-alive"
+        if self.command == "GET":
+            self.do_GET()
+        else:
+            self.do_POST()
+
     def _send(self, status: int, payload: dict) -> None:
+        """Write the whole reply, head and JSON body, in one send."""
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        head = (f"{self.protocol_version} {status:d} {self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\nDate: {self.date_time_string()}\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n")
+        self.wfile.write(head.encode("latin-1") + body)
 
     def _raw_body(self) -> bytes:
-        text = self.headers.get("Content-Length", "0")
+        text = self.fields.get("content-length", "0")
         try:
             length = int(text)
         except ValueError:
@@ -219,6 +333,8 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
     def _run(self, fn) -> None:
         try:
             self._send(200, fn())
+        except _CLIENT_GONE:
+            raise  # from this connection's own socket: there is no one to answer
         except RoutingFailure as exc:
             self._send(502, error_payload(exc))
         except (KeycubeError, ValueError) as exc:

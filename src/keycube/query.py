@@ -63,8 +63,19 @@ class QueryResult:
 
     @classmethod
     def from_reply(cls, reply: dict) -> "QueryResult":
-        visited = tuple(NodeId.parse(t) for t in reply.get("visited", ()))
-        return cls(tuple(reply["cids"]), int(reply["hops"]), visited)
+        """Read a client reply: string `cids`, an int `hops` and a list of ids `visited`.
+
+        Any other reply raises `RoutingFailure`, as does any reply the wire
+        client cannot use.
+        """
+        cids, hops, visited = reply.get("cids"), reply.get("hops"), reply.get("visited")
+        if (type(cids) is not list or not all(type(cid) is str for cid in cids)
+                or type(hops) is not int or type(visited) is not list):
+            raise RoutingFailure(f"not a query reply: {reply!r:.200}")
+        try:
+            return cls(tuple(cids), hops, tuple(NodeId.parse(t) for t in visited))
+        except ValueError as exc:
+            raise RoutingFailure(f"not a query reply: {exc}") from None
 
 
 class Transport(Protocol):

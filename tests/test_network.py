@@ -1,9 +1,13 @@
 import enum
 import json
 import random
+import re
 import socket
+import struct
 import threading
 import time
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler
 from types import SimpleNamespace
 from urllib.parse import urlencode
 
@@ -16,15 +20,19 @@ from keycube.errors import (
     BootstrapError,
     InternalError,
     InvalidKeyword,
+    KeycubeError,
     NotResponsible,
     RoutingFailure,
 )
 from keycube.network import (
     MAX_BODY_BYTES,
     TRANSPORT_WIRE,
+    WIRE_TIMEOUT,
+    Network,
     NetworkConfig,
     WireTransport,
     _copy,
+    _NodeRequestHandler,
     build_network,
     experiment_keywords,
     populate,
@@ -339,6 +347,164 @@ def test_oversized_content_length_is_refused_unread():
         assert str(MAX_BODY_BYTES) in payload["detail"]
 
 
+# --- the request head: read by the node itself, refused with a JSON reply ---------
+
+def recv_more(sock, data):
+    chunk = sock.recv(4096)
+    assert chunk, "the connection closed mid-reply"
+    return data + chunk
+
+
+def read_reply(sock):
+    """Read one reply, framed by its Content-Length, off an open socket: (head lines, body)."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        data = recv_more(sock, data)
+    head, _, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    length = next(int(line.split(":", 1)[1]) for line in lines[1:]
+                  if line.lower().startswith("content-length:"))
+    while len(body) < length:
+        body = recv_more(sock, body)
+    return lines, body
+
+
+def test_expect_100_continue_is_answered_before_the_body(wire_net):
+    body = b'{"cid": "cid-expect", "keywords": ["kw0000"]}'
+    with socket.create_connection(("127.0.0.1", wire_net.cfg.base_port), timeout=5) as sock:
+        sock.sendall(b"POST /insert HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                     b"Content-Length: %d\r\n\r\n" % len(body))
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            interim = recv_more(sock, interim)
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        lines, reply = read_reply(sock)
+    assert lines[0] == "HTTP/1.1 200 OK"
+    assert json.loads(reply)["status"] == "stored"
+    wire_net.remove("cid-expect", ["kw0000"])
+
+
+@pytest.mark.parametrize("version,connection", [("HTTP/1.1", b""),
+                                                ("HTTP/1.0", b"Connection: keep-alive\r\n")])
+def test_one_connection_serves_requests_in_turn(wire_net, version, connection):
+    info = b"GET /info %s\r\nHost: x\r\n%s\r\n" % (version.encode(), connection)
+    bad = (b"POST /insert %s\r\nHost: x\r\n%sContent-Length: 2\r\n\r\n[]"
+           % (version.encode(), connection))
+    with socket.create_connection(("127.0.0.1", wire_net.cfg.base_port), timeout=5) as sock:
+        for request, status in ((info, "200 OK"), (bad, "400 Bad Request"), (info, "200 OK")):
+            sock.sendall(request)
+            lines, _ = read_reply(sock)
+            assert lines[0] == f"HTTP/1.1 {status}"
+
+
+def test_http_1_0_request_is_closed_after_its_reply(wire_net):
+    status, payload = raw_exchange(wire_net.cfg.base_port, b"GET /info HTTP/1.0\r\n\r\n")
+    assert status == b"HTTP/1.1 200 OK"
+    assert payload["id"] == "000"
+
+
+def test_header_names_match_without_regard_to_case(wire_net):
+    body = b'{"cid": "cid-lower", "keywords": ["kw0000"]}'
+    request = (b"POST /insert HTTP/1.1\r\nhost: x\r\ncontent-length: %d\r\n"
+               b"connection: Close\r\n\r\n" % len(body)) + body
+    status, payload = raw_exchange(wire_net.cfg.base_port, request)
+    assert status == b"HTTP/1.1 200 OK"
+    assert payload["status"] == "stored"
+    assert "cid-lower" in wire_net.pin_search(NodeId.parse("000"), ["kw0000"]).cids
+    wire_net.remove("cid-lower", ["kw0000"])
+
+
+def test_reply_head_is_status_server_date_type_length(wire_net):
+    with socket.create_connection(("127.0.0.1", wire_net.cfg.base_port), timeout=5) as sock:
+        sock.sendall(b"GET /info HTTP/1.1\r\nHost: x\r\n\r\n")
+        lines, body = read_reply(sock)
+    assert re.fullmatch(r"Date: \w{3}, \d\d \w{3} \d{4} \d\d:\d\d:\d\d GMT", lines[2])
+    lines[2] = "Date: <masked>"
+    server = f"{BaseHTTPRequestHandler.server_version} {BaseHTTPRequestHandler.sys_version}"
+    assert lines == ["HTTP/1.1 200 OK", f"Server: {server}", "Date: <masked>",
+                     "Content-Type: application/json", f"Content-Length: {len(body)}"]
+    assert json.loads(body)["id"] == "000"
+
+
+POST_HEAD = b"POST /insert HTTP/1.1\r\nHost: x\r\n"
+RECORD = b'{"cid": "c", "keywords": []}'
+# Request heads the node refuses, each with the status of its JSON reply.
+BAD_HEADS = {
+    "request line that does not parse": (b"BLAH\r\n\r\n", 400),
+    "request line of four words": (b"GET /info HTTP/1.1 more\r\n\r\n", 400),
+    "version HTTP/2.0": (b"GET /info HTTP/2.0\r\nHost: x\r\n\r\n", 505),
+    "version HTTP/0.9": (b"GET /info HTTP/0.9\r\n\r\n", 505),
+    "version that is not HTTP": (b"GET /info ICY/1.1\r\n\r\n", 400),
+    "method PUT": (b"PUT /insert HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                   % (len(RECORD), RECORD), 501),
+    "method HEAD": (b"HEAD /info HTTP/1.1\r\n\r\n", 501),
+    "101 header lines": (b"GET /info HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n", 431),
+    "request line over 65536 bytes": (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414),
+    "header line over 65536 bytes": (b"GET /info HTTP/1.1\r\nX-Pad: " + b"a" * 65536
+                                     + b"\r\n\r\n", 431),
+    "header line with no colon": (b"GET /info HTTP/1.1\r\nHost x\r\n\r\n", 400),
+    "header name with a space before its colon": (b"GET /info HTTP/1.1\r\nHost : x\r\n\r\n",
+                                                  400),
+    "chunked body": (POST_HEAD + b"Transfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n"
+                     % (len(RECORD), RECORD), 501),
+    "Transfer-Encoding beside a Content-Length": (
+        POST_HEAD + b"Content-Length: %d\r\nTransfer-Encoding: identity\r\n\r\n%s"
+        % (len(RECORD), RECORD), 501),
+    "two Content-Lengths that differ": (POST_HEAD + b"Content-Length: %d\r\nContent-Length: 2"
+                                        b"\r\n\r\n%s" % (len(RECORD), RECORD), 400),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADS))
+def test_malformed_head_gets_a_json_reply_then_a_close(wire_net, case):
+    request, status = BAD_HEADS[case]
+    status_line, payload = raw_exchange(wire_net.cfg.base_port, request)  # reads until closed
+    assert status_line == f"HTTP/1.1 {status} {HTTPStatus(status).phrase}".encode()
+    assert payload["error"] == "BadRequest"
+    assert isinstance(payload["detail"], str)
+    assert wire_net.pin_search(NodeId.parse("000"), []).cids == ()  # nothing was stored
+
+
+def test_repeated_equal_content_length_is_accepted(wire_net):
+    request = (POST_HEAD + b"Content-Length: %d\r\nContent-Length: %d\r\nConnection: close"
+               b"\r\n\r\n%s" % (len(RECORD), len(RECORD), RECORD))
+    status, payload = raw_exchange(wire_net.cfg.base_port, request)
+    assert status == b"HTTP/1.1 200 OK"
+    wire_net.remove("c", [])
+
+
+def test_silent_or_vanished_client_is_dropped_quietly(monkeypatch, caplog, capsys):
+    assert _NodeRequestHandler.timeout == WIRE_TIMEOUT
+    monkeypatch.setattr(_NodeRequestHandler, "timeout", 0.5)
+    partial = [b"", b"GET /info HTTP/1.1\r\nHost: x\r\n",  # idle; stalled in its head
+               POST_HEAD + b"Content-Length: %d\r\n\r\n{" % len(RECORD)]  # in its body
+    base = free_port_block(2)
+    with build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base)) as net:
+        threads = threading.active_count()
+        socks = [socket.create_connection(("127.0.0.1", base), timeout=5) for _ in partial * 2]
+        silent, vanished = socks[:len(partial)], socks[len(partial):]
+        try:
+            for sock, request in zip(socks, partial * 2):
+                sock.sendall(request)
+            time.sleep(0.1)  # the node reads what was sent
+            for sock in vanished:  # a reset, not a close
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                sock.close()
+            for sock in silent:
+                assert sock.recv(4096) == b""  # closed by the node, unanswered
+        finally:
+            for sock in socks:
+                sock.close()
+        deadline = time.monotonic() + 5
+        while threading.active_count() > threads and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= threads
+        assert net.pin_search(NodeId.parse("1"), []).cids == ()
+    assert not caplog.records
+    assert capsys.readouterr().err == ""  # no traceback from socketserver either
+
+
 def exploding_hash(word, r):
     """keyword_bit, except that the keyword "boom" hits a bug in it."""
     if word == "boom":
@@ -582,6 +748,39 @@ def test_routing_failure_reply_is_reraised_with_its_path():
         with pytest.raises(RoutingFailure, match="leg to 11 failed") as info:
             wire_pin(node.address, KeywordSet(["a"]))
     assert info.value.visited == ["00", "01"]
+
+
+@pytest.mark.parametrize("body", [b'{"error": []}', b'{"error": {"a": 1}, "detail": "x"}',
+                                  b'{"error": 5}', b'{"error": "RoutingFailure", "visited": 5}'])
+def test_error_reply_with_a_malformed_payload_is_a_typed_error(body):
+    with StandInNode(raw=http_reply(body, "400 Bad Request")) as node:
+        net = Network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=node.port), {})
+        with pytest.raises(KeycubeError):
+            net.pin_search(NodeId(1, 0), ["a"])
+
+
+# 200 replies that are JSON objects but not query results.
+MALFORMED_QUERY_REPLIES = {
+    "no cids": {"hops": 0, "visited": ["0"]},
+    "no hops": {"cids": []},
+    "no visited": {"cids": [], "hops": 0},
+    "cids a string": {"cids": "abc", "hops": 0, "visited": ["0"]},
+    "cid not a string": {"cids": [5], "hops": 0, "visited": ["0"]},
+    "hops a string": {"cids": [], "hops": "0", "visited": ["0"]},
+    "hops a bool": {"cids": [], "hops": False, "visited": ["0"]},
+    "visited an object": {"cids": [], "hops": 0, "visited": {"0": 1}},
+    "visited entry a number": {"cids": [], "hops": 0, "visited": [5]},
+    "visited entry not an id": {"cids": [], "hops": 0, "visited": ["2"]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_QUERY_REPLIES))
+def test_malformed_query_reply_is_a_routing_failure(case):
+    body = json.dumps(MALFORMED_QUERY_REPLIES[case]).encode()
+    with StandInNode(body) as node:
+        net = Network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=node.port), {})
+        with pytest.raises(RoutingFailure, match="query reply"):
+            net.pin_search(NodeId(1, 0), ["a"])
 
 
 def test_pin_search_on_a_closed_wire_network_is_a_routing_failure():
