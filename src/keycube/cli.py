@@ -41,13 +41,14 @@ from .network import (
     NetworkConfig,
     WireTransport,
     build_network,
-    make_logical_node,
     start_node_server,
     stop_servers,
     wire_insert,
     wire_pin,
     wire_superset,
 )
+from .node import NodeState
+from .query import LogicalNode
 from .topology import KeywordSet, NodeId
 
 EXIT_USAGE = 2
@@ -135,15 +136,13 @@ def _parse_int_list(parser: argparse.ArgumentParser, raw: str, flag: str) -> tup
 
 
 def cmd_serve(args, parser) -> int:
-    if args.r < 1 or args.r > 32:
-        parser.error(f"--r must be in [1, 32], got {args.r}")
     if not args.all and args.node_id is None:
         parser.error("serve needs --all or --node-id")
 
-    cfg = NetworkConfig(r=args.r, transport=TRANSPORT_WIRE,
-                        host=args.host, base_port=args.base_port)
     servers = []
     try:
+        cfg = NetworkConfig(r=args.r, transport=TRANSPORT_WIRE,
+                            host=args.host, base_port=args.base_port)
         if args.all:
             net = build_network(cfg)
             servers = net.servers
@@ -153,7 +152,7 @@ def cmd_serve(args, parser) -> int:
             node_id = NodeId.parse(args.node_id)
             if node_id.r != args.r:
                 parser.error(f"--node-id {args.node_id!r} does not have {args.r} bits")
-            node = make_logical_node(cfg, node_id, WireTransport(cfg))
+            node = LogicalNode(NodeState(node_id, cfg.hash_fn), WireTransport(cfg))
             servers = [start_node_server(cfg, node)]
             print(f"serving node {node_id.text} on {cfg.address_of(node_id)}")
     except BootstrapError as exc:

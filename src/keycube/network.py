@@ -13,11 +13,13 @@ one socket per request, sent in one write and read until the server
 closes it. There is no pool yet. A server starts one handler thread per
 connection, so a fresh connection per leg keeps every forward on a
 thread the traced benchmark can see; pooled connections would keep
-handler threads that started before tracing did. The server side
-mirrors the client: `_read_head` reads each request head without
-`http.client`'s header parser, keeping only the fields the server reads,
-and each reply goes out in one write. A head it refuses gets a JSON
-`BadRequest` reply, and a connection idle for `WIRE_TIMEOUT` is closed.
+handler threads that started before tracing did. The server side is a
+plain `socketserver` server that mirrors the client: `_read_head` reads
+each request head without `http.client`'s header parser, keeping only
+the fields the server reads, every request's body is read once, one
+table (`_ROUTES`) picks the node call by method and path, and each reply
+goes out in one write. A head it refuses gets a JSON `BadRequest` reply,
+and a connection idle for `WIRE_TIMEOUT` is closed.
 
 Per node, wire mode:
     POST /insert            {"cid": str, "keywords": [str]}
@@ -35,12 +37,13 @@ import logging
 import random
 import re
 import socket
+import socketserver
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from email.utils import formatdate
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import BinaryIO, Iterator
-from urllib.parse import parse_qs, urlencode, urlparse, urlsplit
+from urllib.parse import parse_qs, urlencode, urlsplit
 
 from .errors import (
     BadRequest,
@@ -52,7 +55,7 @@ from .errors import (
     raise_from_payload,
 )
 from .node import NodeState, ObjectRecord
-from .query import ENVELOPE_FIELDS, ROUTED_OPS, LogicalNode, QueryResult, Transport
+from .query import ENVELOPE_FIELDS, ROUTED_OPS, LogicalNode, QueryResult
 from .topology import (
     HashFn,
     KeywordSet,
@@ -84,6 +87,9 @@ class NetworkConfig:
         check_dimension(self.r)
         if self.transport not in (TRANSPORT_IN_PROCESS, TRANSPORT_WIRE):
             raise ValueError(f"unknown transport {self.transport!r}")
+        last = self.base_port + (1 << self.r) - 1
+        if self.transport == TRANSPORT_WIRE and not (1 <= self.base_port and last <= 65535):
+            raise ValueError(f"wire ports {self.base_port}..{last} are not all in 1..65535")
 
     def port_of(self, node: NodeId) -> int:
         return self.base_port + node.value
@@ -188,7 +194,8 @@ def _exchange(host: str, port: int, method: str, path: str, body: dict | None = 
     return payload
 
 
-class _NodeHTTPServer(ThreadingHTTPServer):
+class _NodeServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
     daemon_threads = True
     logical_node: LogicalNode
 
@@ -259,32 +266,32 @@ def _read_head(rfile: BinaryIO) -> tuple[str, str, str, dict[str, str]] | None:
     return method, path, version, fields
 
 
-class _NodeRequestHandler(BaseHTTPRequestHandler):
+class _NodeRequestHandler(socketserver.StreamRequestHandler):
     """One connection to a node server: its requests in turn, each answered with JSON.
 
-    The request head is read by `_read_head`, not by `http.client`'s header
-    parser, and a head it refuses gets a `BadRequest` reply with the
-    status it names, then the connection closes. Otherwise the stdlib's
-    connection rules hold: HTTP/1.1 stays open unless the client sends
-    `Connection: close`, HTTP/1.0 closes unless it sends `keep-alive`, and
-    `Expect: 100-continue` gets `100 Continue` before the body is read. A
-    connection idle or stalled for `timeout` seconds, or reset by the
-    client, is closed unanswered and nothing is logged.
+    Each request takes the same steps. `_read_head` reads its head, and a
+    head it refuses gets a `BadRequest` reply with the status it names,
+    then the connection closes. The connection rules come next: HTTP/1.1
+    stays open unless the client sends `Connection: close`, HTTP/1.0
+    closes unless it sends `keep-alive`, and `Expect: 100-continue` gets
+    `100 Continue`. Then the body is read, whatever the method or path,
+    so the next request starts where this one ends. Last, `_ROUTES` picks
+    the node call by method and path, and its result or error is the one
+    reply. A connection idle or stalled for `timeout` seconds, or reset
+    by the client, is closed unanswered and nothing is logged.
     """
 
-    protocol_version = "HTTP/1.1"
     timeout = WIRE_TIMEOUT
 
-    def log_message(self, fmt, *args):
-        pass
-
     def handle(self) -> None:
+        self.close_connection = False
         try:
-            super().handle()
+            while not self.close_connection:
+                self._serve_one()
         except _CLIENT_GONE:  # no one to answer
             pass
 
-    def handle_one_request(self) -> None:
+    def _serve_one(self) -> None:
         self.close_connection = True
         try:
             head = _read_head(self.rfile)
@@ -293,84 +300,54 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
             return
         if head is None:
             return
-        self.command, path, self.request_version, self.fields = head
-        # A leading "//" would make urlparse read a host; http.server folds it too.
-        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
-        connection = self.fields.get("connection", "").lower()
-        if self.request_version == "HTTP/1.1":
+        method, target, version, fields = head
+        connection = fields.get("connection", "").lower()
+        if version == "HTTP/1.1":
             self.close_connection = connection == "close"
-            if self.fields.get("expect", "").lower() == "100-continue":
+            if fields.get("expect", "").lower() == "100-continue":
                 self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         else:
             self.close_connection = connection != "keep-alive"
-        if self.command == "GET":
-            self.do_GET()
-        else:
-            self.do_POST()
+        # A leading "//" would make urlsplit read a host; fold it into one "/".
+        target = "/" + target.lstrip("/") if target.startswith("//") else target
+        node = self.server.logical_node
+        try:
+            raw = self._raw_body(fields)
+            url = urlsplit(target)
+            route = _ROUTES.get((method, url.path))
+            if route is None:
+                status, payload = 404, {"error": "NotFound", "detail": target}
+            else:
+                status, payload = 200, route(node, parse_qs(url.query), raw)
+        except _CLIENT_GONE:
+            raise  # from this connection's own socket: there is no one to answer
+        except RoutingFailure as exc:
+            status, payload = 502, error_payload(exc)
+        except (KeycubeError, ValueError) as exc:
+            status, payload = 400, error_payload(exc)
+        except Exception as exc:  # a bug: answer it rather than drop the connection
+            logger.exception("node %s failed on %s", node.id, target)
+            status, payload = 500, error_payload(InternalError(f"{type(exc).__name__}: {exc}"))
+        self._send(status, payload)
 
     def _send(self, status: int, payload: dict) -> None:
         """Write the whole reply, head and JSON body, in one send."""
         body = json.dumps(payload).encode("utf-8")
-        head = (f"{self.protocol_version} {status:d} {self.responses[status][0]}\r\n"
-                f"Server: {self.version_string()}\r\nDate: {self.date_time_string()}\r\n"
+        head = (f"HTTP/1.1 {status:d} {HTTPStatus(status).phrase}\r\n"
+                f"Date: {formatdate(usegmt=True)}\r\n"
                 f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n")
         self.wfile.write(head.encode("latin-1") + body)
 
-    def _raw_body(self) -> bytes:
-        text = self.fields.get("content-length", "0")
-        try:
-            length = int(text)
-        except ValueError:
-            length = -1
-        if length < 0:
+    def _raw_body(self, fields: dict[str, str]) -> bytes:
+        text = fields.get("content-length", "0")
+        if not (text.isascii() and text.isdigit()):  # 1*DIGIT (RFC 9110 section 8.6)
             self.close_connection = True  # where the body ends is unknown
             raise BadRequest(f"Content-Length must be a non-negative integer, got {text!r}")
+        length = int(text)
         if length > MAX_BODY_BYTES:
             self.close_connection = True  # the body is left unread
             raise BadRequest(f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes")
         return self.rfile.read(length) if length else b"{}"
-
-    def _run(self, fn) -> None:
-        try:
-            self._send(200, fn())
-        except _CLIENT_GONE:
-            raise  # from this connection's own socket: there is no one to answer
-        except RoutingFailure as exc:
-            self._send(502, error_payload(exc))
-        except (KeycubeError, ValueError) as exc:
-            self._send(400, error_payload(exc))
-        except Exception as exc:  # a bug: answer it rather than drop the connection
-            logger.exception("node %s failed on %s", self.server.logical_node.id, self.path)
-            self._send(500, error_payload(InternalError(f"{type(exc).__name__}: {exc}")))
-
-    def do_GET(self):
-        node = self.server.logical_node
-        url = urlparse(self.path)
-        params = parse_qs(url.query)
-        if url.path == "/info":
-            self._run(node.info)
-        elif url.path == "/pin":
-            keywords = _split_keywords(params.get("keywords", [""])[0])
-            self._run(lambda: node.client_pin(KeywordSet(keywords)))
-        elif url.path == "/superset":
-            keywords = _split_keywords(params.get("keywords", [""])[0])
-            limit = params.get("limit", ["10"])[0]
-            self._run(lambda: node.client_superset(KeywordSet(keywords), _limit(limit)))
-        else:
-            self._send(404, {"error": "NotFound", "detail": self.path})
-
-    def do_POST(self):
-        node = self.server.logical_node
-        path = urlparse(self.path).path
-        if path == "/insert":
-            self._run(lambda: node.client_insert(*_record(self._raw_body())))
-        elif path == "/remove":
-            self._run(lambda: node.client_remove(*_record(self._raw_body())))
-        elif path == "/internal/forward":
-            self._run(lambda: node.handle_forward(_envelope(self._raw_body(), node.state)))
-        else:
-            self.close_connection = True  # its body is left unread
-            self._send(404, {"error": "NotFound", "detail": self.path})
 
 
 # -- request decoding: every malformed request becomes a BadRequest (400) ----
@@ -451,16 +428,30 @@ def _limit(raw: str) -> int:
         raise BadRequest(f"limit must be an integer, got {raw!r}") from None
 
 
-def _split_keywords(raw: str) -> list[str]:
-    """The parts of a comma-joined list; an empty part is kept, so `KeywordSet` refuses it."""
-    return raw.split(",") if raw else []
+def _keywords(params: dict[str, list[str]]) -> KeywordSet:
+    """The comma-joined `keywords` parameter; an empty part is kept, so `KeywordSet` refuses it."""
+    raw = params.get("keywords", [""])[0]
+    return KeywordSet(raw.split(",") if raw else [])
 
 
-def start_node_server(cfg: NetworkConfig, node: LogicalNode) -> _NodeHTTPServer:
+# The node call for each (method, path), given the query parameters and the raw body.
+_ROUTES = {
+    ("GET", "/info"): lambda node, params, raw: node.info(),
+    ("GET", "/pin"): lambda node, params, raw: node.client_pin(_keywords(params)),
+    ("GET", "/superset"): lambda node, params, raw: node.client_superset(
+        _keywords(params), _limit(params.get("limit", ["10"])[0])),
+    ("POST", "/insert"): lambda node, params, raw: node.client_insert(*_record(raw)),
+    ("POST", "/remove"): lambda node, params, raw: node.client_remove(*_record(raw)),
+    ("POST", "/internal/forward"):
+        lambda node, params, raw: node.handle_forward(_envelope(raw, node.state)),
+}
+
+
+def start_node_server(cfg: NetworkConfig, node: LogicalNode) -> _NodeServer:
     """Bind and serve one logical node on its wire address."""
     port = cfg.port_of(node.id)
     try:
-        server = _NodeHTTPServer((cfg.host, port), _NodeRequestHandler)
+        server = _NodeServer((cfg.host, port), _NodeRequestHandler)
     except OSError as exc:
         raise BootstrapError(f"node {node.id.text} cannot bind {cfg.host}:{port}: {exc}") from exc
     server.logical_node = node
@@ -470,7 +461,7 @@ def start_node_server(cfg: NetworkConfig, node: LogicalNode) -> _NodeHTTPServer:
     return server
 
 
-def stop_servers(servers: list[_NodeHTTPServer]) -> None:
+def stop_servers(servers: list[_NodeServer]) -> None:
     """Shut all servers down in parallel (each waits out its poll interval), then close them."""
     stoppers = [threading.Thread(target=server.shutdown) for server in servers]
     for stopper in stoppers:
@@ -479,12 +470,6 @@ def stop_servers(servers: list[_NodeHTTPServer]) -> None:
         stopper.join()
     for server in servers:
         server.server_close()
-
-
-def make_logical_node(cfg: NetworkConfig, node_id: NodeId,
-                      transport: Transport) -> LogicalNode:
-    """A logical node for `cfg` that forwards through `transport`; starts no server."""
-    return LogicalNode(NodeState(node_id, cfg.hash_fn), transport)
 
 
 class Network:
@@ -496,7 +481,7 @@ class Network:
     """
 
     def __init__(self, cfg: NetworkConfig, nodes: dict[NodeId, LogicalNode],
-                 servers: list[_NodeHTTPServer] | None = None):
+                 servers: list[_NodeServer] | None = None):
         self.cfg = cfg
         self.nodes = nodes
         self.servers = servers or []
@@ -570,18 +555,17 @@ def _as_keywords(keywords) -> KeywordSet:
 
 
 def build_network(cfg: NetworkConfig) -> Network:
-    """Bring up all 2**r nodes: in-process over one shared transport, or each with its server."""
+    """Bring up all 2**r nodes over one shared transport and, in wire mode, each with its server."""
     wire = cfg.transport == TRANSPORT_WIRE
     nodes: dict[NodeId, LogicalNode] = {}
-    in_process = InProcessTransport(nodes)
+    transport = WireTransport(cfg) if wire else InProcessTransport(nodes)
     for value in range(1 << cfg.r):
         node_id = NodeId(cfg.r, value)
-        transport = WireTransport(cfg) if wire else in_process
-        nodes[node_id] = make_logical_node(cfg, node_id, transport)
+        nodes[node_id] = LogicalNode(NodeState(node_id, cfg.hash_fn), transport)
     if not wire:
         return Network(cfg, nodes)
 
-    servers: list[_NodeHTTPServer] = []
+    servers: list[_NodeServer] = []
     try:
         for node in nodes.values():
             servers.append(start_node_server(cfg, node))

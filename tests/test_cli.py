@@ -4,6 +4,7 @@ import json
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -41,6 +42,18 @@ def test_serve_r_zero_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["serve", "--r", "0", "--all"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["--r", "33", "--all"],
+                                  ["--r", "1", "--all", "--base-port", "70000"],
+                                  ["--r", "2", "--node-id", "01", "--base-port", "65534"]])
+def test_serve_out_of_range_is_usage_error_before_any_bind(argv, capsys):
+    threads = set(threading.enumerate())
+    with pytest.raises(SystemExit) as err:
+        main(["serve", *argv])
+    assert err.value.code == 2
+    assert set(threading.enumerate()) <= threads  # no node server was started
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_serve_needs_all_or_node_id():

@@ -7,7 +7,6 @@ import struct
 import threading
 import time
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler
 from types import SimpleNamespace
 from urllib.parse import urlencode
 
@@ -101,6 +100,20 @@ def test_duplicate_port_raises_bootstrap_error():
             build_network(NetworkConfig(r=3, transport=TRANSPORT_WIRE, base_port=base))
     finally:
         blocker.close()
+
+
+@pytest.mark.parametrize("r,base_port", [(2, 65534), (1, 0), (1, 70000)])
+def test_wire_port_block_past_the_port_range_is_refused_before_any_bind(r, base_port):
+    threads = set(threading.enumerate())
+    with pytest.raises(ValueError, match="1..65535"):
+        build_network(NetworkConfig(r=r, transport=TRANSPORT_WIRE, base_port=base_port))
+    assert set(threading.enumerate()) <= threads  # no node server was started
+
+
+def test_wire_port_block_may_end_at_65535():
+    assert NetworkConfig(r=2, transport=TRANSPORT_WIRE, base_port=65532).port_of(
+        NodeId.parse("11")) == 65535
+    assert NetworkConfig(r=2, base_port=65534).r == 2  # in-process binds no port
 
 
 def test_close_stops_all_servers_at_once():
@@ -347,6 +360,20 @@ def test_oversized_content_length_is_refused_unread():
         assert str(MAX_BODY_BYTES) in payload["detail"]
 
 
+@pytest.mark.parametrize("length", ["+28", "2_8"])
+def test_content_length_is_digits_only(length):
+    base = free_port_block(2)
+    with build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base)) as net:
+        body = b'{"cid": "c", "keywords": []}'
+        assert len(body) == 28  # what int() would read either length as
+        request = (f"POST /insert HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                   f"Content-Length: {length}\r\n\r\n").encode() + body
+        status, payload = raw_exchange(base, request)  # the server closes after its reply
+        assert status == b"HTTP/1.1 400 Bad Request"
+        assert payload["error"] == "BadRequest"
+        assert net.pin_search(NodeId.parse("0"), []).cids == ()
+
+
 # --- the request head: read by the node itself, refused with a JSON reply ---------
 
 def recv_more(sock, data):
@@ -415,16 +442,57 @@ def test_header_names_match_without_regard_to_case(wire_net):
     wire_net.remove("cid-lower", ["kw0000"])
 
 
-def test_reply_head_is_status_server_date_type_length(wire_net):
+def test_reply_head_is_status_date_type_length(wire_net):
     with socket.create_connection(("127.0.0.1", wire_net.cfg.base_port), timeout=5) as sock:
         sock.sendall(b"GET /info HTTP/1.1\r\nHost: x\r\n\r\n")
         lines, body = read_reply(sock)
-    assert re.fullmatch(r"Date: \w{3}, \d\d \w{3} \d{4} \d\d:\d\d:\d\d GMT", lines[2])
-    lines[2] = "Date: <masked>"
-    server = f"{BaseHTTPRequestHandler.server_version} {BaseHTTPRequestHandler.sys_version}"
-    assert lines == ["HTTP/1.1 200 OK", f"Server: {server}", "Date: <masked>",
+    assert re.fullmatch(r"Date: \w{3}, \d\d \w{3} \d{4} \d\d:\d\d:\d\d GMT", lines[1])
+    lines[1] = "Date: <masked>"
+    assert lines == ["HTTP/1.1 200 OK", "Date: <masked>",
                      "Content-Type: application/json", f"Content-Length: {len(body)}"]
     assert json.loads(body)["id"] == "000"
+
+
+def replies_until_closed(port, request):
+    """Send raw request bytes, read until the server closes, and split the replies:
+    [(status line, JSON body)]."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        data = b"".join(iter(lambda: sock.recv(4096), b""))
+    replies = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        length = int(re.search(rb"(?im)^content-length: *(\d+)", head)[1])
+        replies.append((head.split(b"\r\n")[0], json.loads(rest[:length])))
+        data = rest[length:]
+    return replies
+
+
+HIDDEN = b"GET /pin HTTP/1.1\r\n\r\n"  # a request line that arrives as a body
+LAST_INFO = b"GET /info HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+
+
+def test_a_get_body_is_read_not_served_as_a_request(wire_net):
+    request = (b"GET /info HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+               % (len(HIDDEN), HIDDEN)) + LAST_INFO
+    replies = replies_until_closed(wire_net.cfg.base_port, request)
+    assert [status for status, _ in replies] == [b"HTTP/1.1 200 OK"] * 2
+    assert [payload["id"] for _, payload in replies] == ["000", "000"]
+
+
+def test_post_to_an_unknown_path_has_its_body_read_and_keeps_its_connection(wire_net):
+    request = (b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+               % (len(HIDDEN), HIDDEN)) + LAST_INFO
+    replies = replies_until_closed(wire_net.cfg.base_port, request)
+    assert replies == [(b"HTTP/1.1 404 Not Found", {"error": "NotFound", "detail": "/nope"}),
+                       (b"HTTP/1.1 200 OK", wire_info(addr(wire_net, "000")))]
+
+
+def test_unparsable_request_target_gets_a_400_reply(wire_net):
+    request = b"GET http://[x/info HTTP/1.1\r\nConnection: close\r\n\r\n"
+    status, payload = raw_exchange(wire_net.cfg.base_port, request)
+    assert status == b"HTTP/1.1 400 Bad Request"
+    assert payload == {"error": "ValueError", "detail": "Invalid IPv6 URL"}
 
 
 POST_HEAD = b"POST /insert HTTP/1.1\r\nHost: x\r\n"
