@@ -336,6 +336,10 @@ class GovState:
 #   suggest <proposal_id> <author> <content...>
 #   vote <proposal_id> <suggestion_id> <voter>
 #   execute <proposal_id>
+#
+# The last argument of propose, propose-transfer and suggest is free text;
+# every other operation unpacks exactly the arguments shown, so a line with
+# more or fewer raises ValueError.
 
 
 def run_scenario(lines, state: GovState | None = None) -> tuple[GovState, list[str]]:
@@ -358,22 +362,26 @@ def _apply_line(state: GovState, line: str) -> str:
     parts = line.split()
     op, args = parts[0], parts[1:]
     if op == "mint":
-        account, amount = args[0], int(args[1])
+        account, amount = args
+        amount = int(amount)
         state.mint(account, amount)
         return f"mint -> {account} +{amount}"
     if op == "transfer":
-        frm, to, amount = args[0], args[1], int(args[2])
+        frm, to, amount = args
+        amount = int(amount)
         state.transfer(frm, to, amount)
         return f"transfer -> {frm} -> {to}: {amount}"
     if op == "lock":
-        owner, amount, release_time = args[0], int(args[1]), int(args[2])
-        lock_id = state.lock_tokens(owner, amount, release_time)
+        owner, amount, release_time = args
+        lock_id = state.lock_tokens(owner, int(amount), int(release_time))
         return f"lock -> id {lock_id}"
     if op == "release":
-        state.release(int(args[0]))
-        return f"release -> lock {args[0]}"
+        (lock_id,) = args
+        state.release(int(lock_id))
+        return f"release -> lock {lock_id}"
     if op == "tick":
-        state.tick(int(args[0]))
+        (seconds,) = args
+        state.tick(int(seconds))
         return f"tick -> clock {state.clock}"
     if op == "propose":
         proposer, debate_end = args[0], int(args[1])
@@ -393,11 +401,13 @@ def _apply_line(state: GovState, line: str) -> str:
         sid = state.submit_suggestion(pid, author, content)
         return f"suggest -> proposal {pid} suggestion {sid}"
     if op == "vote":
-        pid, sid, voter = int(args[0]), int(args[1]), args[2]
+        pid, sid, voter = args
+        pid, sid = int(pid), int(sid)
         weight = state.vote(pid, sid, voter)
         return f"vote -> proposal {pid} suggestion {sid} weight {weight}"
     if op == "execute":
-        pid = int(args[0])
+        (pid,) = args
+        pid = int(pid)
         winner = state.execute_proposal(pid)
         return f"execute -> proposal {pid} winner {winner}"
     raise ValueError(f"unknown operation {op!r}")

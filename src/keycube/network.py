@@ -48,6 +48,7 @@ from urllib.parse import parse_qs, urlencode, urlsplit
 from .errors import (
     BadRequest,
     BootstrapError,
+    DimensionMismatch,
     InternalError,
     KeycubeError,
     RoutingFailure,
@@ -489,21 +490,23 @@ class Network:
     # -- client API ---------------------------------------------------------
 
     def insert(self, cid: str, keywords, start: NodeId | None = None) -> dict:
-        keywords = _as_keywords(keywords)
-        start = start or self._default_start()
+        keywords, start = KeywordSet(keywords), self._entry(start)
+        if type(cid) is not str:  # refused before any leg; the target checks the rest
+            raise ValueError(f"cid must be a string, got {cid!r}")
         if self.cfg.transport == TRANSPORT_WIRE:
             return wire_insert(self.cfg.address_of(start), cid, keywords)
         return self.nodes[start].client_insert(cid, keywords)
 
     def remove(self, cid: str, keywords, start: NodeId | None = None) -> dict:
-        keywords = _as_keywords(keywords)
-        start = start or self._default_start()
+        keywords, start = KeywordSet(keywords), self._entry(start)
+        if type(cid) is not str:
+            raise ValueError(f"cid must be a string, got {cid!r}")
         if self.cfg.transport == TRANSPORT_WIRE:
             return wire_remove(self.cfg.address_of(start), cid, keywords)
         return self.nodes[start].client_remove(cid, keywords)
 
     def pin_search(self, start: NodeId, keywords) -> QueryResult:
-        keywords = _as_keywords(keywords)
+        keywords, start = KeywordSet(keywords), self._entry(start)
         if self.cfg.transport == TRANSPORT_WIRE:
             reply = wire_pin(self.cfg.address_of(start), keywords)
         else:
@@ -511,7 +514,7 @@ class Network:
         return QueryResult.from_reply(reply)
 
     def superset_search(self, start: NodeId, keywords, limit: int) -> QueryResult:
-        keywords = _as_keywords(keywords)
+        keywords, start = KeywordSet(keywords), self._entry(start)
         if self.cfg.transport == TRANSPORT_WIRE:
             reply = wire_superset(self.cfg.address_of(start), keywords, limit)
         else:
@@ -520,9 +523,17 @@ class Network:
 
     def route(self, start: NodeId, target: NodeId) -> QueryResult:
         """Deliver a ping from start to target; measures pure routing cost."""
-        reply = self.nodes[start].client_ping(target)
+        reply = self.nodes[self._entry(start)].client_ping(target)
         return QueryResult((), reply["hops"],
                            tuple(NodeId.parse(t) for t in reply["visited"]))
+
+    def _entry(self, start: NodeId | None) -> NodeId:
+        """`start`, or node 0 when None; a start of another r is refused on either transport."""
+        if start is None:
+            return NodeId(self.cfg.r, 0)
+        if start.r != self.cfg.r:
+            raise DimensionMismatch(f"start {start.text} does not have r={self.cfg.r} bits")
+        return start
 
     # -- introspection --------------------------------------------------------
 
@@ -536,9 +547,6 @@ class Network:
             for record in self.nodes[node_id].state.records():
                 yield node_id, record
 
-    def _default_start(self) -> NodeId:
-        return NodeId(self.cfg.r, 0)
-
     def close(self) -> None:
         stop_servers(self.servers)
         self.servers = []
@@ -548,10 +556,6 @@ class Network:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _as_keywords(keywords) -> KeywordSet:
-    return keywords if isinstance(keywords, KeywordSet) else KeywordSet(keywords)
 
 
 def build_network(cfg: NetworkConfig) -> Network:
@@ -594,6 +598,8 @@ def wire_pin(address: str, keywords: KeywordSet) -> dict:
 
 
 def wire_superset(address: str, keywords: KeywordSet, limit: int) -> dict:
+    if type(limit) is not int:  # its text would be read as some other limit, or refused
+        raise ValueError(f"superset limit must be an integer, got {limit!r}")
     query = urlencode({"keywords": ",".join(keywords), "limit": str(limit)})
     return _client_call(address, "GET", "/superset?" + query)
 

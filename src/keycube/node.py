@@ -26,8 +26,7 @@ class ObjectRecord:
     def __post_init__(self):
         if not isinstance(self.cid, str) or not self.cid:
             raise ValueError(f"cid must be a non-empty string, got {self.cid!r}")
-        if not isinstance(self.keywords, KeywordSet):
-            object.__setattr__(self, "keywords", KeywordSet(self.keywords))
+        object.__setattr__(self, "keywords", KeywordSet(self.keywords))
 
 
 class NodeState:
@@ -132,7 +131,3 @@ class NodeState:
         self.__dict__.update(state)
         self._lock = threading.Lock()
 
-
-def make_record(cid: str, keywords: Iterable[str]) -> ObjectRecord:
-    """Convenience constructor canonicalizing the keyword list."""
-    return ObjectRecord(cid, KeywordSet(keywords))

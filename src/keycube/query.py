@@ -96,10 +96,7 @@ class LogicalNode:
     def __init__(self, state: NodeState, transport: Transport):
         self.state = state
         self.transport = transport
-
-    @property
-    def id(self) -> NodeId:
-        return self.state.id
+        self.id = state.id
 
     # -- client entry points (what /insert, /pin, ... invoke) --------------
 
@@ -113,8 +110,8 @@ class LogicalNode:
         return self._handle(self._routed_envelope("pin", keywords))
 
     def client_superset(self, keywords: KeywordSet, limit: int) -> dict:
-        if limit < 1:
-            raise ValueError(f"superset limit must be >= 1, got {limit}")
+        if type(limit) is not int or limit < 1:
+            raise ValueError(f"superset limit must be an integer >= 1, got {limit!r}")
         return self._handle(self._routed_envelope("superset", keywords, limit=limit))
 
     def client_ping(self, target: NodeId) -> dict:

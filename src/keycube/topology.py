@@ -15,6 +15,11 @@ Ids derived from a valid id or r (`flip`, `superset_children` and
 `node_for_keywords`) are valid by construction and skip that check;
 `node_for_keywords` only range-checks the positions its hash returns.
 
+A keyword set is a `KeywordSet`: a tuple of its sorted, distinct words.
+Node tables are keyed and sorted by it, so its hashing and ordering are
+the tuple's own. `KeywordSet(ks)` returns `ks` itself, which makes the
+constructor the one conversion every entry point calls.
+
 Each keyword's SHA-256 prefix and each parsed id are computed once and
 kept in bounded LRU caches, since keywords and id texts also arrive from
 the wire. Validation stays outside the caches: bad input raises the same
@@ -78,9 +83,6 @@ class NodeId:
     def __str__(self) -> str:
         return self.text
 
-    def bit(self, position: int) -> int:
-        return self.value >> position & 1
-
     def flip(self, position: int) -> "NodeId":
         if not 0 <= position < self.r:
             raise ValueError(f"bit position {position} out of range for r={self.r}")
@@ -112,60 +114,42 @@ def _valid_id(r: int, value: int) -> NodeId:
     return node
 
 
-class KeywordSet:
-    """A canonical set of keywords: deduplicated, sorted by UTF-8 byte order.
+class KeywordSet(tuple):
+    """A canonical set of keywords: the tuple of its words, deduplicated and
+    sorted by UTF-8 byte order.
 
     Python compares str by code point, which for valid UTF-8 coincides with
     byte order, so plain string sorting yields the canonical order. A
     keyword may not contain ",": the wire's query strings join keywords
-    with it, and both transports must accept the same sets.
+    with it, and both transports must accept the same sets. As a tuple it
+    hashes, compares, sorts and pickles in C, and equals the plain tuple of
+    its words. `KeywordSet(ks) is ks`, so callers convert without checking.
     """
 
-    __slots__ = ("words",)
+    __slots__ = ()
 
-    def __init__(self, words: Iterable[str] = ()):
+    def __new__(cls, words: Iterable[str] = ()):
+        if type(words) is cls:
+            return words
         if isinstance(words, str):
             raise InvalidKeyword(f"keywords must be a collection, not the string {words!r}")
-        seen = set()
-        cleaned = []
-        for w in words:
+        words = tuple(words)  # a one-shot iterable is read once
+        for w in words:  # every entry is checked before any is hashed
             if not isinstance(w, str) or not w or "," in w:
                 raise InvalidKeyword(f"keyword must be a non-empty string without ',', got {w!r}")
-            if w not in seen:
-                seen.add(w)
-                cleaned.append(w)
-        object.__setattr__(self, "words", tuple(sorted(cleaned)))
+        return super().__new__(cls, sorted(set(words)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("KeywordSet is immutable")
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.words)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in set(self.words)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, KeywordSet) and self.words == other.words
-
-    def __lt__(self, other: "KeywordSet") -> bool:
-        return self.words < other.words
-
-    def __hash__(self) -> int:
-        return hash(self.words)
+    @property
+    def words(self) -> tuple[str, ...]:
+        """The words as a plain tuple."""
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"KeywordSet({list(self.words)!r})"
-
-    def __reduce__(self):
-        return (KeywordSet, (self.words,))
+        return f"KeywordSet({list(self)!r})"
 
     def issuperset(self, words: Iterable[str]) -> bool:
         """Whether every word in `words` (a KeywordSet or any iterable) is in this set."""
-        return set(self.words).issuperset(words)
+        return set(self).issuperset(words)
 
 
 def keyword_bit(keyword: str, r: int) -> int:
@@ -212,7 +196,7 @@ def table_hash(table: Mapping[str, int], fallback: HashFn = keyword_bit) -> Hash
     return TableHash(table, fallback)
 
 
-def node_for_keywords(keywords: KeywordSet | Iterable[str], r: int,
+def node_for_keywords(keywords: Iterable[str], r: int,
                       hash_fn: HashFn = keyword_bit) -> NodeId:
     """The node responsible for a keyword set.
 
@@ -221,8 +205,7 @@ def node_for_keywords(keywords: KeywordSet | Iterable[str], r: int,
     the same bit, so popcount(result) <= min(|keywords|, r).
     """
     check_dimension(r)
-    if not isinstance(keywords, KeywordSet):
-        keywords = KeywordSet(keywords)
+    keywords = KeywordSet(keywords)
     value = 0
     for word in keywords:
         value |= 1 << hash_fn(word, r)  # a negative position raises ValueError here

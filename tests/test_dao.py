@@ -370,6 +370,25 @@ def test_scenario_aborts_with_line_number():
     assert err.value.line_no == 6
 
 
+# Each last line applies without its last argument; with it, the line is refused.
+SCENARIO_PREAMBLE = [
+    "mint alice 100", "mint bob 100", "lock alice 50 500", "lock bob 10 5",
+    "propose alice 20 topic", "suggest 1 alice option", "tick 5",
+]
+
+
+@pytest.mark.parametrize("tail", [
+    ["mint alice 100 200"], ["transfer alice bob 10 20"], ["lock alice 10 50 junk"],
+    ["release 2 2"], ["tick 5 6"], ["vote 1 0 alice bob"], ["tick 20", "execute 1 1"],
+], ids=lambda tail: tail[-1].split()[0])
+def test_scenario_refuses_extra_arguments(tail):
+    *head, last = SCENARIO_PREAMBLE + tail
+    run_scenario(head + [last.rsplit(" ", 1)[0]])
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(head + [last])
+    assert err.value.line_no == len(head) + 1
+
+
 def test_scenario_unknown_op():
     with pytest.raises(ScenarioError):
         run_scenario(["frobnicate alice"])

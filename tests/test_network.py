@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from keycube.errors import (
     BootstrapError,
+    DimensionMismatch,
     InternalError,
     InvalidKeyword,
     KeycubeError,
@@ -249,6 +250,17 @@ def test_error_payloads_cross_the_wire(wire_net):
                                    "/superset?keywords=,a&limit=2"])
 def test_empty_keyword_in_a_query_string_is_invalid(wire_net, query):
     resp = requests.get(f"{addr(wire_net, '000')}{query}", timeout=5)
+    assert resp.status_code == 400
+    assert resp.json()["error"] == "InvalidKeyword"
+
+
+@pytest.mark.parametrize("path,body", [
+    ("/insert", {"cid": "c", "keywords": [["a"]]}),
+    ("/internal/forward", {"op": "pin", "target": "000", "keywords": [["a"]], "visited": []}),
+], ids=["record", "envelope"])
+def test_unhashable_keyword_in_a_body_is_invalid(wire_net, path, body):
+    # Every entry is checked before the set is deduplicated through a set.
+    resp = requests.post(f"{addr(wire_net, '000')}{path}", json=body, timeout=5)
     assert resp.status_code == 400
     assert resp.json()["error"] == "InvalidKeyword"
 
@@ -910,9 +922,9 @@ class Text(str):
 
 @pytest.mark.parametrize("value", [
     {"a", "b"}, b"bytes", object(), {1: "a"}, {"visited": [{"nested": {2: 3}}]},
-    ["ok", {"bad": {"x"}}], ["a", Level.LOW], ("a", Text("b"))],
+    ["ok", {"bad": {"x"}}], ["a", Level.LOW], ("a", Text("b")), KeywordSet(["a"])],
     ids=["set", "bytes", "object", "int key", "nested int key", "nested set",
-         "IntEnum in flat list", "str subclass in flat tuple"])
+         "IntEnum in flat list", "str subclass in flat tuple", "KeywordSet"])
 def test_copy_rejects_what_json_does_not_carry(value):
     with pytest.raises(TypeError):
         _copy(value)
@@ -969,6 +981,25 @@ ERROR_CASES = {
         NodeId.parse("000"), ["kw0000"], 0)),
     "empty cid, 3 hops away": (ValueError, lambda net: net.insert(
         "", KEYS_AT_111, start=NodeId.parse("000"))),
+    # Refused on the client, before either transport is used.
+    "pin from a start of r=2": (DimensionMismatch, lambda net: net.pin_search(
+        NodeId(2, 1), KEYS_AT_111)),
+    "pin from a start of r=4": (DimensionMismatch, lambda net: net.pin_search(
+        NodeId(4, 12), KEYS_AT_111)),
+    "insert from a start of r=2": (DimensionMismatch, lambda net: net.insert(
+        "c", KEYS_AT_111, start=NodeId(2, 1))),
+    "route from a start of r=2": (DimensionMismatch, lambda net: net.route(
+        NodeId(2, 1), NodeId.parse("111"))),
+    "superset limit True": (ValueError, lambda net: net.superset_search(
+        NodeId.parse("000"), ["kw0000"], True)),
+    "superset limit 2.5": (ValueError, lambda net: net.superset_search(
+        NodeId.parse("000"), ["kw0000"], 2.5)),
+    "superset limit '3'": (ValueError, lambda net: net.superset_search(
+        NodeId.parse("000"), ["kw0000"], "3")),
+    "insert an int cid": (ValueError, lambda net: net.insert(
+        5, KEYS_AT_111, start=NodeId.parse("000"))),
+    "remove an int cid": (ValueError, lambda net: net.remove(
+        5, KEYS_AT_111, start=NodeId.parse("000"))),
 }
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from keycube.errors import NotInSupersetRegion, NotResponsible
-from keycube.node import NodeState, make_record
+from keycube.node import NodeState, ObjectRecord
 from keycube.topology import KeywordSet, NodeId, node_for_keywords
 
 from conftest import WIKI_POSITIONS
@@ -19,14 +19,14 @@ def rome_node(wiki_hash):
 
 
 def test_insert_stores_under_exact_keyset(rome_node):
-    rome_node.insert(make_record("cid-rome-wiki", ["Wikipedia", "Rome"]))
+    rome_node.insert(ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"]))
     assert rome_node.entry_count() == 1
     assert rome_node.cid_count() == 1
     assert rome_node.pin_lookup(KeywordSet(["Wikipedia", "Rome"])) == {"cid-rome-wiki"}
 
 
 def test_insert_is_idempotent(rome_node):
-    record = make_record("cid-rome-wiki", ["Wikipedia", "Rome"])
+    record = ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"])
     rome_node.insert(record)
     rome_node.insert(record)
     assert rome_node.cid_count() == 1
@@ -35,26 +35,26 @@ def test_insert_is_idempotent(rome_node):
 def test_insert_rejected_off_owner(wiki_hash):
     zero = NodeState(NodeId.parse("000000"), hash_fn=wiki_hash)
     with pytest.raises(NotResponsible):
-        zero.insert(make_record("cid-rome-wiki", ["Wikipedia", "Rome"]))
+        zero.insert(ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"]))
 
 
 def test_remove_inverts_insert(rome_node):
-    record = make_record("cid-rome-wiki", ["Wikipedia", "Rome"])
+    record = ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"])
     rome_node.insert(record)
     assert rome_node.remove(record) is True
     assert rome_node.entry_count() == 0
 
 
 def test_remove_missing_is_noop(rome_node):
-    record = make_record("cid-rome-wiki", ["Wikipedia", "Rome"])
+    record = ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"])
     assert rome_node.remove(record) is False
     assert rome_node.entry_count() == 0
 
 
 def test_remove_one_of_two_cids(rome_node):
-    rome_node.insert(make_record("cid-a", ["Wikipedia", "Rome"]))
-    rome_node.insert(make_record("cid-b", ["Wikipedia", "Rome"]))
-    rome_node.remove(make_record("cid-a", ["Wikipedia", "Rome"]))
+    rome_node.insert(ObjectRecord("cid-a", ["Wikipedia", "Rome"]))
+    rome_node.insert(ObjectRecord("cid-b", ["Wikipedia", "Rome"]))
+    rome_node.remove(ObjectRecord("cid-a", ["Wikipedia", "Rome"]))
     assert rome_node.pin_lookup(KeywordSet(["Wikipedia", "Rome"])) == {"cid-b"}
 
 
@@ -76,14 +76,14 @@ def test_pin_lookup_requires_ownership(rome_node):
 ])
 def test_insert_and_pin_lookup_refuse_a_foreign_id(rome_node, words, bits):
     with pytest.raises(NotResponsible):
-        rome_node.insert(make_record("cid-x", words), bits)
+        rome_node.insert(ObjectRecord("cid-x", words), bits)
     with pytest.raises(NotResponsible):
         rome_node.pin_lookup(KeywordSet(words), bits)
     assert rome_node.entry_count() == 0
 
 
 def test_insert_and_pin_lookup_accept_the_node_id_as_bits(rome_node):
-    rome_node.insert(make_record("cid-rome-wiki", ["Wikipedia", "Rome"]), rome_node.id)
+    rome_node.insert(ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"]), rome_node.id)
     assert rome_node.pin_lookup(KeywordSet(["Wikipedia", "Rome"]), rome_node.id) == {
         "cid-rome-wiki"}
 
@@ -95,7 +95,7 @@ def test_hash_position_out_of_range_is_value_error(rome_node, position):
         node_for_keywords(["ok", "bad"], 6, bad_hash)
     rome_node.hash_fn = bad_hash
     with pytest.raises(ValueError):
-        rome_node.insert(make_record("cid-x", ["bad"]))
+        rome_node.insert(ObjectRecord("cid-x", ["bad"]))
 
 
 def test_colliding_keysets_stay_separate():
@@ -105,8 +105,8 @@ def test_colliding_keysets_stay_separate():
     owner = node_for_keywords(["x", "z"], 3, hash_fn)
     node = NodeState(owner, hash_fn=hash_fn)
     assert owner == node_for_keywords(["y", "z"], 3, hash_fn)
-    node.insert(make_record("cid-xz", ["x", "z"]))
-    node.insert(make_record("cid-yz", ["y", "z"]))
+    node.insert(ObjectRecord("cid-xz", ["x", "z"]))
+    node.insert(ObjectRecord("cid-yz", ["y", "z"]))
     assert node.pin_lookup(KeywordSet(["x", "z"])) == {"cid-xz"}
     assert node.pin_lookup(KeywordSet(["y", "z"])) == {"cid-yz"}
 
@@ -114,19 +114,19 @@ def test_colliding_keysets_stay_separate():
 def test_superset_lookup_includes_keyword_supersets(wiki_hash):
     owner = node_for_keywords(["Wikipedia", "Rome", "PoI"], 6, wiki_hash)
     node = NodeState(owner, hash_fn=wiki_hash)
-    node.insert(make_record("cid-rome-poi", ["Wikipedia", "Rome", "PoI"]))
+    node.insert(ObjectRecord("cid-rome-poi", ["Wikipedia", "Rome", "PoI"]))
     assert superset_lookup(node, ["Wikipedia", "Rome"], 10) == ["cid-rome-poi"]
 
 
 def test_superset_lookup_limit_zero(rome_node):
-    rome_node.insert(make_record("cid-rome-wiki", ["Wikipedia", "Rome"]))
+    rome_node.insert(ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"]))
     assert superset_lookup(rome_node, ["Wikipedia", "Rome"], 0) == []
 
 
 def test_superset_lookup_truncates_deterministically(wiki_hash):
     node = NodeState(NodeId.parse("001001"), hash_fn=wiki_hash)
     for cid in ("cid-e", "cid-c", "cid-a", "cid-d", "cid-b"):
-        node.insert(make_record(cid, ["Wikipedia", "Rome"]))
+        node.insert(ObjectRecord(cid, ["Wikipedia", "Rome"]))
     # One entry, five cids: byte order then cut at three.
     assert superset_lookup(node, ["Wikipedia", "Rome"], 3) == [
         "cid-a", "cid-b", "cid-c"]
@@ -135,8 +135,8 @@ def test_superset_lookup_truncates_deterministically(wiki_hash):
 def test_superset_lookup_orders_entries_by_keyset():
     hash_fn = lambda kw, r: 0
     node = NodeState(NodeId.parse("100"), hash_fn=hash_fn)
-    node.insert(make_record("cid-late", ["b"]))
-    node.insert(make_record("cid-early", ["a"]))
+    node.insert(ObjectRecord("cid-late", ["b"]))
+    node.insert(ObjectRecord("cid-early", ["a"]))
     assert superset_lookup(node, [], 10) == ["cid-early", "cid-late"]
 
 
@@ -156,17 +156,17 @@ def test_pin_subset_of_superset(wiki_net):
 
 
 def test_records_snapshot(rome_node):
-    rome_node.insert(make_record("cid-b", ["Wikipedia", "Rome"]))
-    rome_node.insert(make_record("cid-a", ["Wikipedia", "Rome"]))
+    rome_node.insert(ObjectRecord("cid-b", ["Wikipedia", "Rome"]))
+    rome_node.insert(ObjectRecord("cid-a", ["Wikipedia", "Rome"]))
     assert [r.cid for r in rome_node.records()] == ["cid-a", "cid-b"]
 
 
 def test_state_transfers_between_contexts_at_rest(rome_node):
     import pickle
 
-    rome_node.insert(make_record("cid-rome-wiki", ["Wikipedia", "Rome"]))
+    rome_node.insert(ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"]))
     moved = pickle.loads(pickle.dumps(rome_node))
     assert moved.id == rome_node.id
     assert list(moved.records()) == list(rome_node.records())
-    moved.insert(make_record("cid-two", ["Wikipedia", "Rome"]))
+    moved.insert(ObjectRecord("cid-two", ["Wikipedia", "Rome"]))
     assert moved.cid_count() == 2

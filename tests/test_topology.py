@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -71,6 +72,41 @@ def test_keyword_set_rejects_a_bare_string():
     with pytest.raises(InvalidKeyword):
         KeywordSet("abc")
     assert KeywordSet(["abc"]).words == ("abc",)
+
+
+def test_keyword_set_of_a_keyword_set_is_itself():
+    ks = KeywordSet(["b", "a"])
+    assert KeywordSet(ks) is ks
+
+
+@pytest.mark.parametrize("words", [[["a"]], ["a", 1]], ids=["unhashable", "not a string"])
+def test_keyword_set_rejects_an_entry_that_is_not_a_string(words):
+    with pytest.raises(InvalidKeyword):
+        KeywordSet(words)
+
+
+def test_keyword_set_is_immutable():
+    ks = KeywordSet(["a"])
+    with pytest.raises(AttributeError):
+        ks.words = ()
+    with pytest.raises(AttributeError):
+        ks.extra = 1
+
+
+def test_keyword_set_pickles_to_an_equal_keyword_set():
+    ks = KeywordSet(["b", "a"])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(ks, protocol))
+        assert type(back) is KeywordSet
+        assert back == ks
+
+
+def test_keyword_set_is_the_tuple_of_its_words():
+    ks = KeywordSet(iter(["b", "a", "b"]))  # a one-shot iterable is read once
+    assert ks == ("a", "b")
+    assert type(ks.words) is tuple
+    assert ks[0] == "a"
+    assert repr(ks) == "KeywordSet(['a', 'b'])"
 
 
 # --- keyword_bit ------------------------------------------------------------
