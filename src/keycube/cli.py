@@ -42,7 +42,6 @@ from .network import (
     WireTransport,
     build_network,
     start_node_server,
-    stop_servers,
     wire_insert,
     wire_pin,
     wire_superset,
@@ -139,13 +138,11 @@ def cmd_serve(args, parser) -> int:
     if not args.all and args.node_id is None:
         parser.error("serve needs --all or --node-id")
 
-    servers = []
     try:
         cfg = NetworkConfig(r=args.r, transport=TRANSPORT_WIRE,
                             host=args.host, base_port=args.base_port)
         if args.all:
-            net = build_network(cfg)
-            servers = net.servers
+            close = build_network(cfg).close
             print(f"serving {1 << args.r} nodes on "
                   f"{args.host}:{args.base_port}..{args.base_port + (1 << args.r) - 1}")
         else:
@@ -153,7 +150,7 @@ def cmd_serve(args, parser) -> int:
             if node_id.r != args.r:
                 parser.error(f"--node-id {args.node_id!r} does not have {args.r} bits")
             node = LogicalNode(NodeState(node_id, cfg.hash_fn), WireTransport(cfg))
-            servers = [start_node_server(cfg, node)]
+            _, close = start_node_server(cfg, [node])
             print(f"serving node {node_id.text} on {cfg.address_of(node_id)}")
     except BootstrapError as exc:
         print(f"bootstrap failed: {exc}", file=sys.stderr)
@@ -165,7 +162,7 @@ def cmd_serve(args, parser) -> int:
     signal.signal(signal.SIGINT, lambda *_: stop.set())
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
     stop.wait()
-    stop_servers(servers)
+    close()
     return 0
 
 
@@ -212,8 +209,10 @@ def cmd_experiment(args, parser) -> int:
                               superset_limit=args.limit, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    report = run_experiment(plan)
     out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # checked before any cell runs
+        parser.error(f"--out {args.out!r} is not a file path in an existing directory")
+    report = run_experiment(plan)
     raw_out = out.with_suffix(".raw.csv")
     report.write_summary_csv(out)
     report.write_raw_csv(raw_out)
@@ -224,11 +223,12 @@ def cmd_experiment(args, parser) -> int:
 
 
 def cmd_dao(args, parser) -> int:
-    path = Path(args.scenario)
-    if not path.exists():
-        parser.error(f"scenario file not found: {path}")
     try:
-        state, log = run_scenario(path.read_text().splitlines())
+        lines = Path(args.scenario).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read scenario file {args.scenario!r}: {exc}")
+    try:
+        state, log = run_scenario(lines)
     except ScenarioError as exc:
         print(f"scenario aborted: {exc}", file=sys.stderr)
         return 1

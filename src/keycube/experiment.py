@@ -43,6 +43,8 @@ class ExperimentPlan:
         for n in self.node_counts:
             if n < 2 or n & (n - 1):
                 raise ValueError(f"node count {n} is not a power of two >= 2")
+        if any(type(count) is not int or count < 0 for count in self.object_counts):
+            raise ValueError(f"object counts must be ints >= 0, got {self.object_counts!r}")
         if self.queries_per_cell < 1:
             raise ValueError("queries_per_cell must be >= 1")
         if self.superset_limit < 1:

@@ -4,9 +4,9 @@ The in-process transport dispatches envelopes by direct call, handing the
 callee a strict structural copy of every envelope and the caller one of
 every reply. The copy accepts exactly JSON's types and shares no mutable
 object, so both transports move the same payloads; results are identical
-by construction, not by luck. The wire transport runs one small HTTP
-server per logical node (one OS port each) speaking the JSON protocol
-below, with node-to-node legs on POST /internal/forward.
+by construction, not by luck. The wire transport gives every logical node
+an HTTP listener on its own OS port, and one thread accepts for all of a
+network's listeners; legs between nodes are POST /internal/forward.
 
 Every node-to-node leg and every client call goes through `_exchange`:
 one socket per request, sent in one write and read until the server
@@ -36,13 +36,14 @@ import json
 import logging
 import random
 import re
+import selectors
 import socket
 import socketserver
 import threading
 from dataclasses import dataclass
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 from urllib.parse import parse_qs, urlencode, urlsplit
 
 from .errors import (
@@ -199,6 +200,10 @@ class _NodeServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
     logical_node: LogicalNode
+
+    def shutdown(self) -> None:
+        """Stop accepting for this node at once: close its listener (see `start_node_server`)."""
+        self.server_close()
 
 
 class _BadHead(Exception):
@@ -448,29 +453,53 @@ _ROUTES = {
 }
 
 
-def start_node_server(cfg: NetworkConfig, node: LogicalNode) -> _NodeServer:
-    """Bind and serve one logical node on its wire address."""
-    port = cfg.port_of(node.id)
-    try:
-        server = _NodeServer((cfg.host, port), _NodeRequestHandler)
-    except OSError as exc:
-        raise BootstrapError(f"node {node.id.text} cannot bind {cfg.host}:{port}: {exc}") from exc
-    server.logical_node = node
-    thread = threading.Thread(target=server.serve_forever, daemon=True,
-                              name=f"keycube-node-{node.id.text}")
-    thread.start()
-    return server
+def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
+                      ) -> tuple[list[_NodeServer], Callable[[], None]]:
+    """Bind every node's wire address, then accept for them all on one thread.
 
+    A failed bind closes the listeners bound so far and raises
+    `BootstrapError` before the thread starts. On each readable listener the
+    loop makes the call `serve_forever` makes, `_handle_request_noblock`:
+    accept, then one handler thread per connection. A listener closed
+    meanwhile (`shutdown`) leaves the loop's epoll set by itself, and an
+    accept racing the close fails with an `OSError` the call ignores.
+    Returns the servers in `nodes` order and `stop_servers`, which closes
+    the loop's wake-up socket, joins the loop and closes every listener.
+    """
+    servers: list[_NodeServer] = []
+    for node in nodes:
+        port = cfg.port_of(node.id)
+        try:
+            server = _NodeServer((cfg.host, port), _NodeRequestHandler)
+        except OSError as exc:
+            for server in servers:
+                server.server_close()
+            raise BootstrapError(
+                f"node {node.id.text} cannot bind {cfg.host}:{port}: {exc}") from exc
+        server.logical_node = node
+        servers.append(server)
+    wake, woken = socket.socketpair()
+    selector = selectors.DefaultSelector()
+    for fileobj in (woken, *servers):
+        selector.register(fileobj, selectors.EVENT_READ)
 
-def stop_servers(servers: list[_NodeServer]) -> None:
-    """Shut all servers down in parallel (each waits out its poll interval), then close them."""
-    stoppers = [threading.Thread(target=server.shutdown) for server in servers]
-    for stopper in stoppers:
-        stopper.start()
-    for stopper in stoppers:
-        stopper.join()
-    for server in servers:
-        server.server_close()
+    def accept() -> None:  # until `wake` is closed, which makes `woken` readable
+        with selector, woken:
+            while True:
+                for key, _ in selector.select():
+                    if key.fileobj is woken:
+                        return
+                    key.fileobj._handle_request_noblock()
+
+    def stop_servers() -> None:
+        wake.close()
+        loop.join()
+        for server in servers:
+            server.server_close()
+
+    loop = threading.Thread(target=accept, daemon=True, name="keycube-accept")
+    loop.start()
+    return list(servers), stop_servers  # a copy: a caller may drop a server from its list
 
 
 class Network:
@@ -482,10 +511,12 @@ class Network:
     """
 
     def __init__(self, cfg: NetworkConfig, nodes: dict[NodeId, LogicalNode],
-                 servers: list[_NodeServer] | None = None):
+                 servers: list[_NodeServer] | None = None,
+                 stop_servers: Callable[[], None] = lambda: None):
         self.cfg = cfg
         self.nodes = nodes
         self.servers = servers or []
+        self._stop_servers = stop_servers
 
     # -- client API ---------------------------------------------------------
 
@@ -548,7 +579,7 @@ class Network:
                 yield node_id, record
 
     def close(self) -> None:
-        stop_servers(self.servers)
+        self._stop_servers()
         self.servers = []
 
     def __enter__(self) -> "Network":
@@ -568,15 +599,7 @@ def build_network(cfg: NetworkConfig) -> Network:
         nodes[node_id] = LogicalNode(NodeState(node_id, cfg.hash_fn), transport)
     if not wire:
         return Network(cfg, nodes)
-
-    servers: list[_NodeServer] = []
-    try:
-        for node in nodes.values():
-            servers.append(start_node_server(cfg, node))
-    except BootstrapError:
-        stop_servers(servers)
-        raise
-    return Network(cfg, nodes, servers)
+    return Network(cfg, nodes, *start_node_server(cfg, nodes.values()))
 
 
 # -- wire client helpers -----------------------------------------------------

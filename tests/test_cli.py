@@ -264,6 +264,44 @@ def test_dao_missing_scenario_usage_error():
     assert err.value.code == 2
 
 
+def assert_one_error_line(capsys):
+    """argparse's usage line, then one error line, and no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
+
+@pytest.mark.parametrize("content", [None, b"mint alice 100\n\xff\xfe\n"],
+                         ids=["directory", "not-utf-8"])
+def test_dao_unreadable_scenario_usage_error(tmp_path, capsys, content):
+    scenario = tmp_path / "scenario.txt"
+    if content is None:
+        scenario.mkdir()
+    else:
+        scenario.write_bytes(content)
+    with pytest.raises(SystemExit) as err:
+        main(["dao", "--scenario", str(scenario)])
+    assert err.value.code == 2
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+def test_experiment_unwritable_out_is_usage_error_before_any_cell(tmp_path, monkeypatch,
+                                                                  capsys, out):
+    monkeypatch.setattr(cli, "run_experiment", lambda plan: pytest.fail("the grid ran"))
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--nodes", "8", "--objects", "1", "--out", str(tmp_path / out)])
+    assert err.value.code == 2
+    assert_one_error_line(capsys)
+
+
+def test_experiment_negative_objects_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--nodes", "8", "--objects", "-5"])
+    assert err.value.code == 2
+    assert_one_error_line(capsys)
+
+
 # --- serve (subprocess) ------------------------------------------------------------
 
 def test_serve_all_hosts_every_node():

@@ -31,6 +31,18 @@ def test_plan_rejects_bad_counts():
         ExperimentPlan(superset_limit=0)
 
 
+@pytest.mark.parametrize("count", [-5, 1.5, True, "3", None])
+def test_plan_rejects_object_counts_that_are_not_counts(count):
+    with pytest.raises(ValueError, match="object counts"):
+        ExperimentPlan(object_counts=(10, count))
+
+
+def test_plan_keeps_zero_objects():
+    report = run_experiment(ExperimentPlan(node_counts=(4,), object_counts=(0,),
+                                           queries_per_cell=3, seed=1))
+    assert {summary.objects for summary in report.summaries} == {0}
+
+
 def test_plan_dimensions():
     assert ExperimentPlan().dimensions == (3, 4, 5, 6, 7)
 

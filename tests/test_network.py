@@ -96,11 +96,22 @@ def test_duplicate_port_raises_bootstrap_error():
     blocker = socket.socket()
     blocker.bind(("127.0.0.1", base + 3))
     blocker.listen(1)
+    threads = set(threading.enumerate())
     try:
         with pytest.raises(BootstrapError, match="110"):
             build_network(NetworkConfig(r=3, transport=TRANSPORT_WIRE, base_port=base))
     finally:
         blocker.close()
+    assert set(threading.enumerate()) <= threads  # the accept loop starts after every bind
+    assert_ports_free(base, 3)  # the three listeners bound before the failure were closed
+
+
+def assert_ports_free(base, size):
+    """Bind every port of the block as a node server does (`SO_REUSEADDR`), then free it."""
+    for port in range(base, base + size):
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind(("127.0.0.1", port))
 
 
 @pytest.mark.parametrize("r,base_port", [(2, 65534), (1, 0), (1, 70000)])
@@ -123,7 +134,7 @@ def test_close_stops_all_servers_at_once():
     addresses = [net.cfg.address_of(node_id) for node_id in net.node_ids]
     start = time.perf_counter()
     net.close()
-    assert time.perf_counter() - start < 3.0
+    assert time.perf_counter() - start < 0.25  # no poll interval to wait out
     for address in addresses:
         with pytest.raises(RoutingFailure):
             wire_info(address)
@@ -136,6 +147,49 @@ def test_close_after_servers_were_shut_down():
         server.shutdown()
     net.close()
     assert net.servers == []
+
+
+def test_a_wire_network_runs_one_accept_thread():
+    threads = set(threading.enumerate())
+    with build_network(NetworkConfig(r=4, transport=TRANSPORT_WIRE,
+                                     base_port=free_port_block(16))) as net:
+        assert len(set(threading.enumerate()) - threads) == 1
+        assert net.pin_search(NodeId.parse("0000"), ["a"]).cids == ()  # all 16 nodes serve
+
+
+def test_parallel_shutdowns_return_at_once():
+    """As a benchmark's teardown does: every server's `shutdown` from its own thread."""
+    net = build_network(NetworkConfig(r=3, transport=TRANSPORT_WIRE,
+                                      base_port=free_port_block(8)))
+    addresses = [net.cfg.address_of(node_id) for node_id in net.node_ids]
+    stoppers = [threading.Thread(target=server.shutdown) for server in net.servers]
+    start = time.perf_counter()
+    for stopper in stoppers:
+        stopper.start()
+    for stopper in stoppers:
+        stopper.join(timeout=5)
+    assert time.perf_counter() - start < 0.25
+    assert not any(stopper.is_alive() for stopper in stoppers)
+    for address in addresses:  # no node accepts any more
+        with pytest.raises(RoutingFailure):
+            wire_info(address)
+    net.close()
+    assert net.servers == []
+
+
+def test_close_leaves_no_thread_and_no_bound_port():
+    base = free_port_block(8)
+    threads = set(threading.enumerate())
+    net = build_network(NetworkConfig(r=3, transport=TRANSPORT_WIRE, base_port=base))
+    accept = set(threading.enumerate()) - threads
+    populate(net, 20, seed=3)  # every insert's legs run on handler threads
+    handlers = set(threading.enumerate()) - threads - accept
+    net.close()
+    assert not any(thread.is_alive() for thread in accept)  # joined by close
+    for thread in handlers:
+        thread.join(timeout=5)  # it may still be leaving a connection it closed
+        assert not thread.is_alive(), thread.name
+    assert_ports_free(base, 8)
 
 
 # --- populate ------------------------------------------------------------------
