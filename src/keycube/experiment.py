@@ -41,14 +41,16 @@ class ExperimentPlan:
 
     def __post_init__(self):
         for n in self.node_counts:
-            if n < 2 or n & (n - 1):
-                raise ValueError(f"node count {n} is not a power of two >= 2")
+            if type(n) is not int or n < 2 or n & (n - 1):
+                raise ValueError(f"node count {n!r} is not a power of two >= 2")
         if any(type(count) is not int or count < 0 for count in self.object_counts):
             raise ValueError(f"object counts must be ints >= 0, got {self.object_counts!r}")
-        if self.queries_per_cell < 1:
-            raise ValueError("queries_per_cell must be >= 1")
-        if self.superset_limit < 1:
-            raise ValueError("superset_limit must be >= 1")
+        for name, count in (("queries_per_cell", self.queries_per_cell),
+                            ("superset_limit", self.superset_limit)):
+            if type(count) is not int or count < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {count!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
 
     @property
     def dimensions(self) -> tuple[int, ...]:

@@ -33,10 +33,10 @@ from .node import NodeState, ObjectRecord
 from .topology import (
     KeywordSet,
     NodeId,
+    _covered_children,
     neighbors,
     next_hop,
     node_for_keywords,
-    superset_children,
 )
 
 ROUTED_OPS = ("ping", "insert", "remove", "pin", "superset")
@@ -73,7 +73,7 @@ class QueryResult:
                 or type(hops) is not int or type(visited) is not list):
             raise RoutingFailure(f"not a query reply: {reply!r:.200}")
         try:
-            return cls(tuple(cids), hops, tuple(NodeId.parse(t) for t in visited))
+            return cls(tuple(cids), hops, tuple(map(NodeId.parse, visited)))
         except ValueError as exc:
             raise RoutingFailure(f"not a query reply: {exc}") from None
 
@@ -97,6 +97,7 @@ class LogicalNode:
         self.state = state
         self.transport = transport
         self.id = state.id
+        self.text = state.id.text  # computed once: every leg appends or compares it
 
     # -- client entry points (what /insert, /pin, ... invoke) --------------
 
@@ -115,11 +116,11 @@ class LogicalNode:
         return self._handle(self._routed_envelope("superset", keywords, limit=limit))
 
     def client_ping(self, target: NodeId) -> dict:
-        return self._handle({"op": "ping", "target": target.text, "visited": [self.id.text]})
+        return self._handle({"op": "ping", "target": target.text, "visited": [self.text]})
 
     def info(self) -> dict:
         return {
-            "id": self.id.text,
+            "id": self.text,
             "r": self.state.r,
             "neighbors": [n.text for n in sorted(neighbors(self.id))],
         }
@@ -130,7 +131,7 @@ class LogicalNode:
             "op": op,
             "target": target.text,
             "keywords": list(keywords),
-            "visited": [self.id.text],
+            "visited": [self.text],
         }
         env.update(extra)
         return env
@@ -138,32 +139,32 @@ class LogicalNode:
     # -- envelope handling ---------------------------------------------------
 
     def handle_forward(self, envelope: dict) -> dict:
-        """Entry point for envelopes arriving from a neighbor."""
-        envelope["visited"].append(self.id.text)
+        """Entry point for a neighbor's envelope, one call per hop; walk legs skip `_handle`."""
+        envelope["visited"].append(self.text)
+        if envelope["op"] == "superset_visit":
+            return self._superset_visit(envelope)
         return self._handle(envelope)
 
     def _handle(self, env: dict) -> dict:
         op = env["op"]
         if op in ROUTED_OPS:
-            if env["target"] != self.id.text:
+            if env["target"] != self.text:
                 return self.transport.call(next_hop(self.id, NodeId.parse(env["target"])), env)
             return self._at_target(env)
-        if op == "superset_visit":
-            return self._superset_visit(env)
         raise KeycubeError(f"unknown op {op!r}")
 
     def _at_target(self, env: dict) -> dict:
         op = env["op"]
         visited = env["visited"]
         if op == "ping":
-            return {"status": "ok", "node": self.id.text,
+            return {"status": "ok", "node": self.text,
                     "hops": len(visited) - 1, "visited": visited}
         if op == "insert":
             self.state.insert(ObjectRecord(env["cid"], KeywordSet(env["keywords"])), self.id)
-            return {"status": "stored", "node": self.id.text}
+            return {"status": "stored", "node": self.text}
         if op == "remove":
             found = self.state.remove(ObjectRecord(env["cid"], KeywordSet(env["keywords"])))
-            return {"status": "removed" if found else "not_found", "node": self.id.text}
+            return {"status": "removed" if found else "not_found", "node": self.text}
         if op == "pin":
             cids = sorted(self.state.pin_lookup(KeywordSet(env["keywords"]), self.id))
             return {"cids": cids, "hops": len(visited) - 1, "visited": visited}
@@ -207,7 +208,8 @@ class LogicalNode:
             leg = {"op": "superset_visit", "target": env["target"],
                    "keywords": env["keywords"], "limit": limit,
                    "collected": collected, "visited": []}
-            for child in superset_children(self.id, query_bits):
+            # `superset_lookup` has refused a node outside the region.
+            for child in _covered_children(self.id, query_bits):
                 try:
                     reply = self.transport.call(child, leg)
                 except RoutingFailure as exc:

@@ -10,10 +10,12 @@ characters '0'/'1', and the character at index i (0-based, leftmost) is
 bit position i. Internally position i is stored as the 2**i bit of an
 integer, so the text form is the integer's binary digits reversed.
 
+An id is the tuple `(r, value)`, a `NodeId`, and keeps no cached text.
 Ids are validated where they enter: `NodeId(r, value)` and `NodeId.parse`.
-Ids derived from a valid id or r (`flip`, `superset_children` and
-`node_for_keywords`) are valid by construction and skip that check;
-`node_for_keywords` only range-checks the positions its hash returns.
+Ids derived from a valid id or r (`flip`, `next_hop`, the walk's children
+and `node_for_keywords`) are built by `tuple.__new__(NodeId, (r, value))`,
+which skips the type and range checks; `node_for_keywords` only
+range-checks the positions its hash returns.
 
 A keyword set is a `KeywordSet`: a tuple of its sorted, distinct words.
 Node tables are keyed and sorted by it, so its hashing and ordering are
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+import operator
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -52,21 +54,31 @@ def check_dimension(r: int) -> int:
     return r
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """Identifier of one logical node: an r-bit vector.
+class NodeId(tuple):
+    """Identifier of one logical node: an r-bit vector, the pair `(r, value)`.
 
     `value` holds bit position i (leftmost text character i) as the 2**i
-    integer bit. Instances are immutable and usable as dict keys.
+    integer bit. As a tuple it hashes, compares and sorts in C and equals `(r, value)`.
     """
 
-    r: int
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_dimension(self.r)
-        if not 0 <= self.value < (1 << self.r):
-            raise ValueError(f"id value {self.value} out of range for r={self.r}")
+    def __new__(cls, r: int, value: int):
+        check_dimension(r)
+        if type(value) is not int:
+            raise ValueError(f"id value must be an int, got {value!r}")
+        if not 0 <= value < (1 << r):
+            raise ValueError(f"id value {value} out of range for r={r}")
+        return tuple.__new__(cls, (r, value))
+
+    r = property(operator.itemgetter(0), doc="The dimension: how many bits the id has.")
+    value = property(operator.itemgetter(1), doc="The bits, position i as the 2**i bit.")
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"NodeId(r={self.r}, value={self.value})"
 
     @classmethod
     def parse(cls, text: str) -> "NodeId":
@@ -75,7 +87,7 @@ class NodeId:
             raise ValueError(f"not a bit string of 1 to {MAX_DIMENSION} bits: {text!r}")
         return _parse_id(text)
 
-    @functools.cached_property
+    @property
     def text(self) -> str:
         """Canonical text form; leftmost character is bit position 0."""
         return format(self.value, f"0{self.r}b")[::-1]
@@ -86,7 +98,7 @@ class NodeId:
     def flip(self, position: int) -> "NodeId":
         if not 0 <= position < self.r:
             raise ValueError(f"bit position {position} out of range for r={self.r}")
-        return _valid_id(self.r, self.value ^ (1 << position))
+        return tuple.__new__(NodeId, (self.r, self.value ^ (1 << position)))
 
     @property
     def popcount(self) -> int:
@@ -103,15 +115,7 @@ class NodeId:
 def _parse_id(text: str) -> NodeId:
     if not 1 <= len(text) <= MAX_DIMENSION or text.strip("01"):
         raise ValueError(f"not a bit string of 1 to {MAX_DIMENSION} bits: {text!r}")
-    return _valid_id(len(text), int(text[::-1], 2))
-
-
-def _valid_id(r: int, value: int) -> NodeId:
-    """A NodeId from an r and value the caller has already checked; skips __post_init__."""
-    node = object.__new__(NodeId)
-    object.__setattr__(node, "r", r)  # as the frozen dataclass's own __init__ does
-    object.__setattr__(node, "value", value)
-    return node
+    return tuple.__new__(NodeId, (len(text), int(text[::-1], 2)))
 
 
 class KeywordSet(tuple):
@@ -211,7 +215,7 @@ def node_for_keywords(keywords: Iterable[str], r: int,
         value |= 1 << hash_fn(word, r)  # a negative position raises ValueError here
     if value >> r:
         raise ValueError(f"hash_fn returned a bit position >= r={r} for {list(keywords)}")
-    return _valid_id(r, value)
+    return tuple.__new__(NodeId, (r, value))
 
 
 def neighbors(node: NodeId) -> list[NodeId]:
@@ -237,8 +241,7 @@ def next_hop(current: NodeId, target: NodeId) -> NodeId:
     diff = current.value ^ target.value
     if diff == 0:
         raise AlreadyAtTarget(f"already at {current.text}")
-    lowest = (diff & -diff).bit_length() - 1
-    return current.flip(lowest)
+    return tuple.__new__(NodeId, (current.r, current.value ^ (diff & -diff)))
 
 
 def superset_children(node: NodeId, query: NodeId) -> list[NodeId]:
@@ -253,14 +256,17 @@ def superset_children(node: NodeId, query: NodeId) -> list[NodeId]:
     """
     if not node.covers(query):
         raise NotInSupersetRegion(f"{node.text} is not a bit-superset of {query.text}")
-    free_set = node.value & ~query.value
-    if free_set:
-        ceiling = (free_set & -free_set).bit_length() - 1
-    else:
-        ceiling = node.r
+    return _covered_children(node, query)
+
+
+def _covered_children(node: NodeId, query: NodeId) -> list[NodeId]:
+    """`superset_children` for a `node` the caller has already checked covers `query`."""
+    r, value = node
+    free_set = value & ~query.value
+    ceiling = (free_set & -free_set).bit_length() - 1 if free_set else r
     # `node` covers `query`, so a position clear in `node` is free.
-    value = node.value
-    return [_valid_id(node.r, value | 1 << i) for i in range(ceiling) if not value >> i & 1]
+    return [tuple.__new__(NodeId, (r, value | 1 << i))
+            for i in range(ceiling) if not value >> i & 1]
 
 
 def superset_region(query: NodeId) -> Iterator[NodeId]:

@@ -37,6 +37,17 @@ def test_plan_rejects_object_counts_that_are_not_counts(count):
         ExperimentPlan(object_counts=(10, count))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("node_counts", (4.0,)), ("node_counts", (True, 4)), ("node_counts", ("8",)),
+    ("queries_per_cell", True), ("queries_per_cell", 2.5), ("queries_per_cell", "3"),
+    ("superset_limit", True), ("superset_limit", 1.5), ("superset_limit", None),
+    ("seed", 1.5), ("seed", True), ("seed", "2021"),
+])
+def test_plan_rejects_counts_that_are_not_ints(field, value):
+    with pytest.raises(ValueError, match="node count" if field == "node_counts" else field):
+        ExperimentPlan(**{field: value})
+
+
 def test_plan_keeps_zero_objects():
     report = run_experiment(ExperimentPlan(node_counts=(4,), object_counts=(0,),
                                            queries_per_cell=3, seed=1))

@@ -65,12 +65,15 @@ def stub_daemon():
     server = HTTPServer(("127.0.0.1", free_port_block(1)), _StubDaemonHandler)
     server.requests = []
     server.reply = (200, b"")
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll: `shutdown` waits for the loop to see its flag, 0.5 s by default.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield server
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def _stub_url(server, path=""):

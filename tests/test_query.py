@@ -1,9 +1,12 @@
+import functools
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
+from keycube.errors import NotInSupersetRegion
 from keycube.network import (
     TRANSPORT_IN_PROCESS,
     TRANSPORT_WIRE,
@@ -359,3 +362,51 @@ def test_duplicate_at_a_child_does_not_stop_its_subtree(transport):
     assert res.cids == ("a", "b")
     assert res.hops == 4
     assert [n.text for n in res.nodes_visited] == ["000", "100", "110", "101", "111"]
+
+
+def test_walk_leg_to_a_node_outside_the_region_is_refused():
+    net = make_net(3)
+    leg = {"op": "superset_visit", "target": "100", "keywords": ["kw"], "limit": 5,
+           "collected": [], "visited": []}
+    transport = net.nodes[NodeId.parse("100")].transport
+    with pytest.raises(NotInSupersetRegion):
+        transport.call(NodeId.parse("010"), leg)
+    assert leg["visited"] == []  # the caller's envelope is untouched
+
+
+def _calls_per_hop(searches) -> float:
+    """Python-level calls per hop over `searches`, each run once before to warm the caches."""
+    for search in searches:
+        search()
+    calls = hops = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for search in searches:
+            hops += search().hops
+    finally:
+        sys.setprofile(previous)
+    return calls / hops
+
+
+def test_in_process_hops_stay_within_a_call_budget():
+    # Every in-process hop is one leg, so a walk's or a pin's cost is set by the
+    # fixed calls per leg. r=12 as in the cube12 benchmark. The budgets hold on
+    # 3.10 to 3.13; from 3.12 on, comprehensions are inlined and a walk hop
+    # makes one call fewer.
+    r = 12
+    net = make_net(r)
+    populate(net, 1000, seed=2021)
+    universe = experiment_keywords(r)
+    rng = random.Random(7)
+    walks = [functools.partial(net.superset_search, NodeId(r, rng.randrange(1 << r)), [word], 50)
+             for word in universe[:6]]
+    pins = [functools.partial(net.pin_search, NodeId(r, rng.randrange(1 << r)),
+                              random_keyset(rng, universe, r)) for _ in range(40)]
+    assert _calls_per_hop(walks) <= 12
+    assert _calls_per_hop(pins) <= 14

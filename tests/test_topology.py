@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import pickle
 import random
 
@@ -14,6 +15,7 @@ from keycube.errors import (
     NotInSupersetRegion,
 )
 from keycube import topology
+from keycube.node import NodeState, ObjectRecord
 from keycube.topology import (
     KeywordSet,
     NodeId,
@@ -54,6 +56,44 @@ def test_node_id_rejects_bad_dimension_and_flip():
     for position in (-1, 3):
         with pytest.raises(ValueError):
             NodeId(3, 0).flip(position)
+
+
+@pytest.mark.parametrize("value", [1.5, True, False, "1", None, 2 ** 0.5])
+def test_node_id_rejects_a_value_that_is_not_an_int(value):
+    with pytest.raises(ValueError, match="must be an int"):
+        NodeId(3, value)
+
+
+def test_node_id_is_the_pair_of_its_dimension_and_value():
+    nid = NodeId(3, 5)
+    assert nid == (3, 5) and (nid.r, nid.value) == (3, 5)
+    assert hash(nid) == hash((3, 5))
+    assert json.dumps(nid) == "[3, 5]"
+    assert repr(nid) == "NodeId(r=3, value=5)"
+    assert str(nid) == nid.text == "101"
+    ids = [NodeId(r, v) for r in (2, 1, 3) for v in range(1 << r)]
+    rng = random.Random(3)
+    rng.shuffle(ids)
+    assert sorted(ids) == sorted((nid.r, nid.value) for nid in ids)
+
+
+def test_node_id_is_immutable_and_has_no_dict():
+    nid = NodeId(3, 5)
+    assert not hasattr(nid, "__dict__")
+    for name in ("r", "value", "text", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(nid, name, 1)
+
+
+def test_node_id_and_node_state_pickle_to_equal_values():
+    state = NodeState(NodeId(4, 9))
+    state.insert(ObjectRecord("cid", ["kw"]), NodeId(4, 9))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(NodeId(4, 9), protocol))
+        assert type(back) is NodeId and back == NodeId(4, 9) and back.text == "1001"
+        moved = pickle.loads(pickle.dumps(state, protocol))
+        assert type(moved.id) is NodeId and moved.id == state.id
+        assert list(moved.records()) == list(state.records())
 
 
 def test_keyword_set_canonical_and_deduplicated():
