@@ -21,8 +21,6 @@ from pathlib import Path
 from .dao import run_scenario
 from .errors import (
     BootstrapError,
-    ContentNotFound,
-    GatewayUnavailable,
     KeycubeError,
     RoutingFailure,
     ScenarioError,
@@ -35,7 +33,7 @@ from .experiment import (
     format_summary_table,
     run_experiment,
 )
-from .gateway import DaemonResolver
+from .gateway import DaemonResolver, resolve_all
 from .network import (
     TRANSPORT_WIRE,
     NetworkConfig,
@@ -47,7 +45,7 @@ from .network import (
     wire_superset,
 )
 from .node import NodeState
-from .query import LogicalNode
+from .query import LogicalNode, QueryResult
 from .topology import KeywordSet, NodeId
 
 EXIT_USAGE = 2
@@ -178,15 +176,11 @@ def cmd_insert(args, parser) -> int:
 def cmd_pin(args, parser) -> int:
     keywords = _parse_keywords(parser, args.keywords)
     reply = wire_pin(args.target, keywords)
+    cids = QueryResult.from_reply(reply).cids  # a reply of another shape is a transport error
     if args.resolver_url:
-        resolver = DaemonResolver(args.resolver_url)
-        contents = {}
-        for cid in reply["cids"]:
-            try:
-                contents[cid] = base64.b64encode(resolver.resolve(cid)).decode("ascii")
-            except (ContentNotFound, GatewayUnavailable):
-                contents[cid] = None
-        reply["contents"] = contents
+        pairs = resolve_all(cids, DaemonResolver(args.resolver_url))
+        reply["contents"] = {cid: None if data is None else base64.b64encode(data).decode("ascii")
+                             for cid, data in pairs}
     print(json.dumps(reply))
     return 0
 
@@ -196,6 +190,7 @@ def cmd_superset(args, parser) -> int:
     if args.limit < 1:
         parser.error(f"--limit must be >= 1, got {args.limit}")
     reply = wire_superset(args.target, keywords, args.limit)
+    QueryResult.from_reply(reply)  # a reply of another shape is a transport error
     print(json.dumps(reply))
     return 0
 

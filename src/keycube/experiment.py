@@ -124,24 +124,24 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
         r = nodes.bit_length() - 1
         universe = experiment_keywords(r)
         for objects in plan.object_counts:
-            net = build_network(NetworkConfig(r=r))
-            populate(net, objects, derive_seed(plan.seed, r, objects, "populate"))
-            for op in ("pin", "superset"):
-                rng = random.Random(derive_seed(plan.seed, r, objects, op))
-                hops = []
-                for index in range(plan.queries_per_cell):
-                    start = NodeId(r, rng.randrange(nodes))
-                    keywords = random_keyset(rng, universe, r)
-                    if op == "pin":
-                        result = net.pin_search(start, keywords)
-                    else:
-                        result = net.superset_search(start, keywords, plan.superset_limit)
-                    hops.append(result.hops)
-                    report.records.append(QueryRecord(
-                        r, nodes, objects, op, index, start.text,
-                        keywords.words, result.hops, len(result.cids)))
-                report.summaries.append(CellSummary(
-                    r, nodes, objects, op, fmean(hops), plan.queries_per_cell))
+            with build_network(NetworkConfig(r=r)) as net:
+                populate(net, objects, derive_seed(plan.seed, r, objects, "populate"))
+                for op in ("pin", "superset"):
+                    rng = random.Random(derive_seed(plan.seed, r, objects, op))
+                    hops = []
+                    for index in range(plan.queries_per_cell):
+                        start = NodeId(r, rng.randrange(nodes))
+                        keywords = random_keyset(rng, universe, r)
+                        if op == "pin":
+                            result = net.pin_search(start, keywords)
+                        else:
+                            result = net.superset_search(start, keywords, plan.superset_limit)
+                        hops.append(result.hops)
+                        report.records.append(QueryRecord(
+                            r, nodes, objects, op, index, start.text,
+                            keywords.words, result.hops, len(result.cids)))
+                    report.summaries.append(CellSummary(
+                        r, nodes, objects, op, fmean(hops), plan.queries_per_cell))
     return report
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import base64
 import http.client
 import json
-from typing import Protocol
+from typing import Iterable, Protocol
 from urllib.parse import urlencode, urlsplit
 
 from .errors import ContentNotFound, GatewayUnavailable
@@ -81,6 +81,17 @@ def _check_cid(cid: str) -> None:
         raise ValueError(f"cid must be a non-empty string, got {cid!r}")
 
 
+def resolve_all(cids: Iterable[str], resolver: ContentResolver) -> list[tuple[str, bytes | None]]:
+    """Each cid with its bytes, or with None where the resolver cannot produce them."""
+    out: list[tuple[str, bytes | None]] = []
+    for cid in cids:
+        try:
+            out.append((cid, resolver.resolve(cid)))
+        except (ContentNotFound, GatewayUnavailable):
+            out.append((cid, None))
+    return out
+
+
 def pin_search_with_content(net: Network, start: NodeId, keywords,
                             resolver: ContentResolver) -> list[tuple[str, bytes | None]]:
     """Pin search whose cids are mapped through the resolver.
@@ -88,11 +99,4 @@ def pin_search_with_content(net: Network, start: NodeId, keywords,
     Resolution happens after the query completes and never fails it; a cid
     the resolver cannot produce is paired with None.
     """
-    result = net.pin_search(start, keywords)
-    out: list[tuple[str, bytes | None]] = []
-    for cid in result.cids:
-        try:
-            out.append((cid, resolver.resolve(cid)))
-        except (ContentNotFound, GatewayUnavailable):
-            out.append((cid, None))
-    return out
+    return resolve_all(net.pin_search(start, keywords).cids, resolver)

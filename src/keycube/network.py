@@ -57,7 +57,7 @@ from .errors import (
     raise_from_payload,
 )
 from .node import NodeState, ObjectRecord
-from .query import ENVELOPE_FIELDS, ROUTED_OPS, LogicalNode, QueryResult
+from .query import ENVELOPE_FIELDS, LogicalNode, QueryResult
 from .topology import (
     HashFn,
     KeywordSet,
@@ -71,6 +71,7 @@ TRANSPORT_IN_PROCESS = "in-process"
 TRANSPORT_WIRE = "wire"
 WIRE_TIMEOUT = 20.0
 MAX_BODY_BYTES = 1 << 20  # a larger Content-Length is refused before any body is read
+KEYWORDS_PER_POSITION = 4  # words of the experiment universe at each bit position
 _REPLY_HEAD = re.compile(  # a reply's status code, then its Content-Length
     rb"HTTP/\d\.\d (\d{3})\b.*\r\ncontent-length:[ \t]*(\d+)[ \t]*(?:\r\n|\Z)", re.I | re.S)
 
@@ -411,7 +412,7 @@ def _envelope(raw: bytes, state: NodeState) -> dict:
     for key in ("visited", "collected") if op == "superset_visit" else ("visited",):
         if not _STR.issuperset(map(type, env[key])):
             raise BadRequest(f"every entry of {key!r} must be a string")
-    if op in ROUTED_OPS and len(env["visited"]) > state.r:
+    if op != "superset_visit" and len(env["visited"]) > state.r:
         raise BadRequest(f"{len(env['visited'])} visited entries exceed r={state.r}")
     if op == "superset_visit" and len(env["collected"]) > env["limit"]:
         raise BadRequest(f"{len(env['collected'])} collected cids exceed limit {env['limit']}")
@@ -555,8 +556,7 @@ class Network:
     def route(self, start: NodeId, target: NodeId) -> QueryResult:
         """Deliver a ping from start to target; measures pure routing cost."""
         reply = self.nodes[self._entry(start)].client_ping(target)
-        return QueryResult((), reply["hops"],
-                           tuple(NodeId.parse(t) for t in reply["visited"]))
+        return QueryResult((), reply["hops"], tuple(map(NodeId.parse, reply["visited"])))
 
     def _entry(self, start: NodeId | None) -> NodeId:
         """`start`, or node 0 when None; a start of another r is refused on either transport."""
@@ -641,13 +641,12 @@ def _client_call(address: str, method: str, path: str, body: dict | None = None)
 
 # -- population ----------------------------------------------------------------
 
-def experiment_keywords(r: int, per_position: int = 4,
-                        hash_fn: HashFn = keyword_bit) -> list[str]:
-    """Synthetic keyword universe of per_position * r distinct strings.
+def experiment_keywords(r: int, hash_fn: HashFn = keyword_bit) -> list[str]:
+    """Synthetic keyword universe of KEYWORDS_PER_POSITION * r distinct strings.
 
     Candidates kw0000, kw0001, ... are screened by their hashed position
-    until every position owns exactly `per_position` words, so random
-    keyword sets can reach the whole id space.
+    until every position owns exactly `KEYWORDS_PER_POSITION` words, so
+    random keyword sets can reach the whole id space.
     """
     check_dimension(r)
     buckets: dict[int, list[str]] = {i: [] for i in range(r)}
@@ -657,9 +656,9 @@ def experiment_keywords(r: int, per_position: int = 4,
         word = f"kw{i:04d}"
         i += 1
         bucket = buckets[hash_fn(word, r)]
-        if len(bucket) < per_position:
+        if len(bucket) < KEYWORDS_PER_POSITION:
             bucket.append(word)
-            if len(bucket) == per_position:
+            if len(bucket) == KEYWORDS_PER_POSITION:
                 filled += 1
     return sorted(word for bucket in buckets.values() for word in bucket)
 

@@ -20,7 +20,9 @@ to `NodeState` as the keywords' bits, and every walk leg carries the root's
 id, so no node hashes them again. Handlers trust the envelopes they are
 given; on the wire, the decode in `network` is the one ownership check: it
 checks that `target` has r bits and, where the op declares keywords, that
-it is their id.
+it is their id. So a hop and a walk visit read `target` with the cached
+`topology._parse_id`, not `NodeId.parse`. An unknown op is refused by the
+wire decode, or in process by `_handle` at the envelope's target.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ from .topology import (
     KeywordSet,
     NodeId,
     _covered_children,
+    _parse_id,
     neighbors,
     next_hop,
     node_for_keywords,
 )
-
-ROUTED_OPS = ("ping", "insert", "remove", "pin", "superset")
 
 # JSON type of each field an envelope must carry besides "op" and "visited".
 _ROUTED_FIELDS = {"target": str, "keywords": list}
@@ -146,14 +147,13 @@ class LogicalNode:
         return self._handle(envelope)
 
     def _handle(self, env: dict) -> dict:
-        op = env["op"]
-        if op in ROUTED_OPS:
-            if env["target"] != self.text:
-                return self.transport.call(next_hop(self.id, NodeId.parse(env["target"])), env)
-            return self._at_target(env)
-        raise KeycubeError(f"unknown op {op!r}")
+        """Forward a routed envelope one greedy step, or answer it at its target.
 
-    def _at_target(self, env: dict) -> dict:
+        Reads the trusted `target` with `_parse_id`; refuses an unknown op at the target.
+        """
+        target = env["target"]
+        if target != self.text:
+            return self.transport.call(next_hop(self.id, _parse_id(target)), env)
         op = env["op"]
         visited = env["visited"]
         if op == "ping":
@@ -168,12 +168,14 @@ class LogicalNode:
         if op == "pin":
             cids = sorted(self.state.pin_lookup(KeywordSet(env["keywords"]), self.id))
             return {"cids": cids, "hops": len(visited) - 1, "visited": visited}
-        # superset: the responsible node roots the tree walk. It is already
-        # on the visited list, so the root visit must not append it again.
-        visit = self._superset_visit({"target": env["target"], "keywords": env["keywords"],
-                                      "limit": env["limit"], "collected": [], "visited": visited})
-        visited = visit["visited"]
-        return {"cids": visit["cids"], "hops": len(visited) - 1, "visited": visited}
+        if op == "superset":
+            # This envelope roots the tree walk. The responsible node is already
+            # on the visited list, so the root visit must not append it again.
+            env["collected"] = []
+            visit = self._superset_visit(env)
+            visited = visit["visited"]
+            return {"cids": visit["cids"], "hops": len(visited) - 1, "visited": visited}
+        raise KeycubeError(f"unknown op {op!r}")
 
     def _superset_visit(self, env: dict) -> dict:
         """Visit one tree node: collect locally, then descend while short.
@@ -183,7 +185,7 @@ class LogicalNode:
         reply holds only what this subtree added: its new cids and its
         visited segment, which starts at `env["visited"]`.
         """
-        query_bits = NodeId.parse(env["target"])
+        query_bits = _parse_id(env["target"])
         limit = env["limit"]
         collected: list[str] = env["collected"]  # the handler's own copy: extended in place
         found_before = len(collected)

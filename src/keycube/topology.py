@@ -177,14 +177,13 @@ def _digest_prefix(keyword: str) -> int:
 class TableHash:
     """Hash function backed by an explicit keyword -> position table.
 
-    Unknown keywords fall through to the fallback hash. Used to pin down
+    Unknown keywords fall through to `keyword_bit`. Used to pin down
     small keyword universes in tests and walkthroughs. A plain class, not
     a closure, so node state carrying it stays picklable.
     """
 
-    def __init__(self, table: Mapping[str, int], fallback: HashFn = keyword_bit):
+    def __init__(self, table: Mapping[str, int]):
         self.table = dict(table)
-        self.fallback = fallback
 
     def __call__(self, keyword: str, r: int) -> int:
         if not isinstance(keyword, str) or not keyword:
@@ -192,12 +191,12 @@ class TableHash:
         check_dimension(r)
         if keyword in self.table:
             return self.table[keyword] % r
-        return self.fallback(keyword, r)
+        return keyword_bit(keyword, r)
 
 
-def table_hash(table: Mapping[str, int], fallback: HashFn = keyword_bit) -> HashFn:
-    """Shorthand for TableHash(table, fallback)."""
-    return TableHash(table, fallback)
+def table_hash(table: Mapping[str, int]) -> HashFn:
+    """Shorthand for TableHash(table)."""
+    return TableHash(table)
 
 
 def node_for_keywords(keywords: Iterable[str], r: int,

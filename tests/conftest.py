@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from keycube.network import NetworkConfig, build_network
@@ -28,3 +31,10 @@ def wiki_net(wiki_hash):
 
 def make_net(r, **kwargs):
     return build_network(NetworkConfig(r=r, **kwargs))
+
+
+def child_env():
+    """The environment for a child interpreter that imports this checkout's `src`."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))

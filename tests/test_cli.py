@@ -15,6 +15,7 @@ from keycube.errors import ContentNotFound, RoutingFailure
 from keycube.network import TRANSPORT_WIRE, NetworkConfig, build_network, wire_info
 from keycube.topology import NodeId, node_for_keywords
 
+from conftest import child_env
 from test_network import StandInNode, free_port_block, http_reply
 
 
@@ -111,6 +112,36 @@ def test_failed_leg_behind_the_entry_node_exits_3(capsys):
         net.close()
     assert code == 3
     assert "transport error" in capsys.readouterr().err
+
+
+NOT_QUERY_REPLIES = {
+    "a store reply": {"status": "stored", "node": "00"},
+    "cids a string": {"cids": "abc", "hops": 0, "visited": []},
+    "hops missing": {"cids": [], "visited": ["00"]},
+    "visited a bad id": {"cids": [], "hops": 0, "visited": ["0x"]},
+}
+
+
+@pytest.mark.parametrize("argv", [["pin"], ["pin", "--resolver-url", "http://127.0.0.1:1"],
+                                  ["superset", "--limit", "3"]],
+                         ids=["pin", "pin-resolved", "superset"])
+@pytest.mark.parametrize("reply", NOT_QUERY_REPLIES.values(), ids=NOT_QUERY_REPLIES)
+def test_a_200_reply_that_is_not_a_query_result_exits_3(argv, reply, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DaemonResolver", lambda url: pytest.fail("resolved a bad reply"))
+    with StandInNode(json.dumps(reply).encode()) as node:
+        code = main([argv[0], "--target", node.address, "--keywords", "a", *argv[1:]])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("transport error: not a query reply") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["pin"], ["superset", "--limit", "3"]])
+def test_a_query_reply_prints_as_the_node_sent_it(command, capsys):
+    body = r'{"visited": ["00", "10"], "cids": ["c\u00e9", "b"], "hops": 1}'
+    with StandInNode(body.encode()) as node:
+        assert main([command[0], "--target", node.address, "--keywords", "a", *command[1:]]) == 0
+    assert capsys.readouterr().out == body + "\n"
 
 
 # --- node errors ----------------------------------------------------------------
@@ -304,12 +335,14 @@ def test_experiment_negative_objects_usage_error(capsys):
 
 # --- serve (subprocess) ------------------------------------------------------------
 
+def start_serve(*argv):
+    return subprocess.Popen([sys.executable, "-m", "keycube.cli", "serve", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+
+
 def test_serve_all_hosts_every_node():
     base = free_port_block(4)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "keycube.cli", "serve", "--r", "2", "--all",
-         "--base-port", str(base)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = start_serve("--r", "2", "--all", "--base-port", str(base))
     try:
         deadline = time.time() + 10
         infos = {}
@@ -332,10 +365,7 @@ def test_serve_all_hosts_every_node():
 
 def test_serve_single_node():
     base = free_port_block(8)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "keycube.cli", "serve", "--r", "3",
-         "--node-id", "010", "--base-port", str(base)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = start_serve("--r", "3", "--node-id", "010", "--base-port", str(base))
     try:
         deadline = time.time() + 10
         info = None

@@ -2,6 +2,7 @@ from statistics import fmean
 
 import pytest
 
+from keycube import experiment
 from keycube.experiment import (
     CellSummary,
     ExperimentPlan,
@@ -128,3 +129,18 @@ def test_format_summary_table():
     assert len(lines) == 2
     assert "mean_hops" in lines[0]
     assert "1.500" in lines[1]
+
+
+def test_every_network_is_closed_after_its_cell(monkeypatch):
+    real_build, built, closed = experiment.build_network, [], []
+
+    def build_network(cfg):
+        assert closed == built  # the previous cell's network is closed
+        net = real_build(cfg)
+        net.close = lambda: closed.append(cfg.r)
+        built.append(cfg.r)
+        return net
+
+    monkeypatch.setattr(experiment, "build_network", build_network)
+    run_experiment(ExperimentPlan())
+    assert len(closed) == 15 and closed == built

@@ -6,14 +6,11 @@ client helpers. `requests` stays a test dependency only, as an independent
 client.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
+from conftest import child_env
 from test_network import free_port_block
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHILD = r"""
 import sys
@@ -49,11 +46,9 @@ print("ok")
 
 
 def test_runs_with_requests_blocked(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(tmp_path / "grid.csv"), str(free_port_block(4))],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("ok\n")
     assert (tmp_path / "grid.csv").exists()
