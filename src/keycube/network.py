@@ -8,18 +8,17 @@ by construction, not by luck. The wire transport gives every logical node
 an HTTP listener on its own OS port, and one thread accepts for all of a
 network's listeners; legs between nodes are POST /internal/forward.
 
-Every node-to-node leg and every client call goes through `_exchange`:
-one socket per request, sent in one write and read until the server
-closes it. There is no pool yet. A server starts one handler thread per
-connection, so a fresh connection per leg keeps every forward on a
-thread the traced benchmark can see; pooled connections would keep
-handler threads that started before tracing did. The server side is a
-plain `socketserver` server that mirrors the client: `_read_head` reads
-each request head without `http.client`'s header parser, keeping only
-the fields the server reads, every request's body is read once, one
+Every node-to-node leg and every client call goes through `_exchange`,
+which keeps idle sockets in one pool per (host, port), sends each request
+in one write and frames each reply by its Content-Length. The server side
+is a plain `socketserver` server that mirrors the client: `_read_head`
+reads each request head without `http.client`'s header parser, keeping
+only the fields the server reads, every request's body is read once, one
 table (`_ROUTES`) picks the node call by method and path, and each reply
-goes out in one write. A head it refuses gets a JSON `BadRequest` reply,
-and a connection idle for `WIRE_TIMEOUT` is closed.
+goes out in one write. A head it refuses gets a JSON `BadRequest` reply.
+Each request that arrives is served on a thread started for it; between
+requests a connection waits, holding no thread, in the accept loop, which
+closes it once it has been idle for `WIRE_TIMEOUT`.
 
 Per node, wire mode:
     POST /insert            {"cid": str, "keywords": [str]}
@@ -32,14 +31,19 @@ Per node, wire mode:
 
 from __future__ import annotations
 
+import atexit
+import io
 import json
 import logging
 import random
 import re
+import select
 import selectors
 import socket
 import socketserver
 import threading
+import time
+from collections import deque
 from dataclasses import dataclass
 from email.utils import formatdate
 from http import HTTPStatus
@@ -150,8 +154,8 @@ def _copy(x):
 class WireTransport:
     """Node-to-node legs as POST /internal/forward to the neighbor's port.
 
-    Each leg opens its own socket and closes it after the reply (see
-    `_exchange`); nothing is kept between legs.
+    Each leg takes an idle socket from `_exchange`'s pool, or opens one,
+    and leaves it there after a whole reply.
     """
 
     def __init__(self, cfg: NetworkConfig):
@@ -162,48 +166,166 @@ class WireTransport:
                          "/internal/forward", envelope, envelope.get("visited"))
 
 
+_POOL: dict[tuple[str, int], list[socket.socket]] = {}  # idle client sockets by (host, port)
+_POOL_LOCK = threading.Lock()
+_POOL_CAP = 4  # idle sockets kept per (host, port); one more is closed
+_CLOSES = re.compile(rb"\r\nconnection:[ \t]*close[ \t]*(?:\r\n|\Z)", re.I)
+
+
+def _idle_socket(key: tuple[str, int]) -> socket.socket | None:
+    """A pooled socket to `key`, or None. One that is readable, because the
+    node closed it or wrote past a reply, is closed and the next one tried."""
+    while True:
+        with _POOL_LOCK:
+            idle = _POOL.get(key)
+            if not idle:
+                return None
+            sock = idle.pop()
+        readable = select.poll()
+        readable.register(sock, select.POLLIN)
+        if not readable.poll(0):
+            return sock
+        sock.close()
+
+
+def _pool(key: tuple[str, int], sock: socket.socket) -> None:
+    with _POOL_LOCK:
+        idle = _POOL.setdefault(key, [])
+        if len(idle) < _POOL_CAP:
+            idle.append(sock)
+            return
+    sock.close()
+
+
+def _close_pooled(ports: range) -> None:
+    """Close every idle socket to one of `ports`, whatever its host."""
+    with _POOL_LOCK:
+        dropped = [_POOL.pop(key) for key in [key for key in _POOL if key[1] in ports]]
+    for idle in dropped:
+        for sock in idle:
+            sock.close()
+
+
+atexit.register(_close_pooled, range(1 << 16))  # those no `Network.close` reached
+
+
+def _read_reply(sock: socket.socket, data: bytes) -> bytes:
+    """Read on from `data` until one reply is whole by its Content-Length, or the node closes."""
+    reply = bytearray(data)
+    while True:
+        end = reply.find(b"\r\n\r\n")
+        if end >= 0:
+            framing = _REPLY_HEAD.match(reply, 0, end)
+            if framing is None or len(reply) >= end + 4 + int(framing[2]):
+                return bytes(reply)
+        chunk = sock.recv(65536)
+        if not chunk:
+            return bytes(reply)
+        reply += chunk
+
+
 def _exchange(host: str, port: int, method: str, path: str, body: dict | None = None,
               visited: list[str] | None = None) -> dict:
-    """Send one request on a fresh socket and return the reply's JSON object.
+    """Send one request and return the reply's JSON object.
 
-    The request goes out in one send with `Connection: close`, so the
-    reply ends where the server closes (RFC 9112 section 9.6); a body is
-    `json.dumps` with NaN refused, in UTF-8. A reply other than 200 is
-    re-raised as the error it carries. A failed connection, or a reply
-    that is not HTTP, not as long as its Content-Length or not a JSON
-    object, raises `RoutingFailure` with `visited`, the path walked so far.
+    The request goes out in one send on a pooled socket, or on a new one
+    with `TCP_NODELAY`; a body is `json.dumps` with NaN refused, in UTF-8.
+    A pooled socket that the node closed or reset before the reply's first
+    byte is replaced by a new one, once; nothing else is retried, not even
+    a timeout (the node may be working on the request). The reply ends
+    where its Content-Length says, and the socket goes back to the pool
+    (RFC 9112 section 9.3) only if no byte came past it and the reply did
+    not say `Connection: close`. A reply other than 200 is re-raised as
+    the error it carries. A failed connection, or a reply that is not
+    HTTP, not as long as its Content-Length or not a JSON object, raises
+    `RoutingFailure` with `visited`, the path walked so far.
     """
     where = f"{method} {path} to {host}:{port}"
     request = f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
     data = b"" if body is None else json.dumps(body, allow_nan=False).encode("utf-8")
     if body is not None:
         request += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+    request = (request + "\r\n").encode("ascii") + data
+    key = (host, port)
+    sock, reply, reusable = _idle_socket(key), b"", False
     try:
-        with socket.create_connection((host, port), timeout=WIRE_TIMEOUT) as sock:
-            sock.sendall((request + "Connection: close\r\n\r\n").encode("ascii") + data)
-            reply = b"".join(iter(lambda: sock.recv(65536), b""))  # until the server closes
+        if sock is not None:
+            try:
+                sock.sendall(request)
+                reply = sock.recv(65536)
+            except ConnectionError:
+                pass
+            if not reply:  # closed under the pool: one try on a new socket
+                sock.close()
+                sock = None
+        if sock is None:
+            sock = socket.create_connection(key, timeout=WIRE_TIMEOUT)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.sendall(request)
+        reply = _read_reply(sock, reply)
+        head, _, raw = reply.partition(b"\r\n\r\n")
+        framing = _REPLY_HEAD.match(head)
+        try:
+            payload = json.loads(raw)
+        except (ValueError, RecursionError):
+            payload = None
+        if framing is None or int(framing[2]) != len(raw) or type(payload) is not dict:
+            raise RoutingFailure(f"{where}: not a whole HTTP reply holding a JSON object",
+                                 visited)
+        reusable = _CLOSES.search(head) is None
     except OSError as exc:
         raise RoutingFailure(f"{where} failed: {exc}", visited) from exc
-    head, _, raw = reply.partition(b"\r\n\r\n")
-    framing = _REPLY_HEAD.match(head)
-    try:
-        payload = json.loads(raw)
-    except (ValueError, RecursionError):
-        payload = None
-    if framing is None or int(framing[2]) != len(raw) or type(payload) is not dict:
-        raise RoutingFailure(f"{where}: not a whole HTTP reply holding a JSON object", visited)
+    finally:
+        if reusable:
+            _pool(key, sock)
+        elif sock is not None:
+            sock.close()
     if framing[1] != b"200":
         raise_from_payload(payload)
     return payload
 
 
 class _NodeServer(socketserver.ThreadingTCPServer):
+    """One node's listener; `start_node_server` runs its accept loop."""
+
     allow_reuse_address = True
     daemon_threads = True
+    closed = False  # set by the first `server_close`: from then on no request is served
     logical_node: LogicalNode
 
+    @staticmethod
+    def hand_back(server: _NodeServer, conn: socket.socket | None) -> None:
+        """From any thread: park `conn` in the accept loop, or with None tell the
+        loop that `server` closed. This one, for a server with no loop, closes it."""
+        if conn is not None:
+            conn.close()
+
+    def get_request(self) -> tuple[socket.socket, object]:
+        conn, address = super().get_request()
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return conn, address
+
+    def process_request_thread(self, request: socket.socket, client_address) -> None:
+        """A handler thread: answer what has arrived on `request`, then park or close it."""
+        try:
+            close = self.RequestHandlerClass(request, client_address, self).close_connection
+        except Exception:
+            self.handle_error(request, client_address)
+            close = True
+        if close:
+            self.shutdown_request(request)
+        else:
+            self.hand_back(self, request)
+
+    def server_close(self) -> None:
+        """Close the listener; the accept loop then closes this node's parked connections."""
+        if not self.closed:
+            self.closed = True
+            self.hand_back(self, None)  # before the close, so the loop never sees its fd reused
+        super().server_close()
+
     def shutdown(self) -> None:
-        """Stop accepting for this node at once: close its listener (see `start_node_server`)."""
+        """Stop serving for this node at once (see `start_node_server`)."""
         self.server_close()
 
 
@@ -273,30 +395,83 @@ def _read_head(rfile: BinaryIO) -> tuple[str, str, str, dict[str, str]] | None:
     return method, path, version, fields
 
 
-class _NodeRequestHandler(socketserver.StreamRequestHandler):
-    """One connection to a node server: its requests in turn, each answered with JSON.
+class _Recv(io.RawIOBase):
+    """A connection's reads. While `held`, a read finds nothing, so that
+    `peek` on a `BufferedReader` over it shows only what it has buffered."""
+
+    held = False
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        return None if self.held else self.sock.recv_into(buffer)
+
+
+_STATUS_LINES = {status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+                 for status in HTTPStatus}
+_date = (0, "")  # (second, its HTTP-date), one tuple so that no thread sees half an update
+
+
+def _http_date() -> str:
+    global _date
+    second, text = _date
+    now = int(time.time())
+    if now != second:
+        text = formatdate(now, usegmt=True)
+        _date = (now, text)
+    return text
+
+
+class _NodeRequestHandler(socketserver.BaseRequestHandler):
+    """The requests that have arrived on one connection, each answered with JSON.
+
+    It runs on a thread started when the connection was accepted or, parked
+    in the accept loop, turned readable. It serves one request, then any a
+    client pipelined that are already in its read buffer, and leaves
+    `close_connection` false if the connection is to be parked again.
 
     Each request takes the same steps. `_read_head` reads its head, and a
     head it refuses gets a `BadRequest` reply with the status it names,
-    then the connection closes. The connection rules come next: HTTP/1.1
-    stays open unless the client sends `Connection: close`, HTTP/1.0
-    closes unless it sends `keep-alive`, and `Expect: 100-continue` gets
-    `100 Continue`. Then the body is read, whatever the method or path,
-    so the next request starts where this one ends. Last, `_ROUTES` picks
-    the node call by method and path, and its result or error is the one
-    reply. A connection idle or stalled for `timeout` seconds, or reset
-    by the client, is closed unanswered and nothing is logged.
+    then the connection closes; once the server has closed, a head gets no
+    reply. The connection rules come next: HTTP/1.1 stays open unless the
+    client sends `Connection: close`, HTTP/1.0 closes unless it sends
+    `keep-alive`, and `Expect: 100-continue` gets `100 Continue`. Then the
+    body is read, whatever the method or path, so the next request starts
+    where this one ends. Last, `_ROUTES` picks the node call by method and
+    path, and its result or error is the one reply, with `Connection:
+    close` if the connection closes after it. A connection stalled for
+    `timeout` seconds, or reset by the client, is closed unanswered and
+    nothing is logged.
     """
 
     timeout = WIRE_TIMEOUT
 
+    def setup(self) -> None:
+        self.request.settimeout(self.timeout)
+        self._recv = _Recv(self.request)
+        self.rfile = io.BufferedReader(self._recv)
+
     def handle(self) -> None:
-        self.close_connection = False
         try:
-            while not self.close_connection:
+            self._serve_one()
+            while not self.close_connection and self._buffered():
                 self._serve_one()
         except _CLIENT_GONE:  # no one to answer
-            pass
+            self.close_connection = True
+
+    def finish(self) -> None:
+        self.rfile.close()
+
+    def _buffered(self) -> bool:
+        """Whether another request has begun in the read buffer; the socket is not read."""
+        self._recv.held = True
+        pending = self.rfile.peek(1)
+        self._recv.held = False
+        return bool(pending)
 
     def _serve_one(self) -> None:
         self.close_connection = True
@@ -305,14 +480,14 @@ class _NodeRequestHandler(socketserver.StreamRequestHandler):
         except _BadHead as exc:
             self._send(exc.status, error_payload(BadRequest(str(exc))))
             return
-        if head is None:
+        if head is None or self.server.closed:
             return
         method, target, version, fields = head
         connection = fields.get("connection", "").lower()
         if version == "HTTP/1.1":
             self.close_connection = connection == "close"
             if fields.get("expect", "").lower() == "100-continue":
-                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+                self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         else:
             self.close_connection = connection != "keep-alive"
         # A leading "//" would make urlsplit read a host; fold it into one "/".
@@ -340,10 +515,10 @@ class _NodeRequestHandler(socketserver.StreamRequestHandler):
     def _send(self, status: int, payload: dict) -> None:
         """Write the whole reply, head and JSON body, in one send."""
         body = json.dumps(payload).encode("utf-8")
-        head = (f"HTTP/1.1 {status:d} {HTTPStatus(status).phrase}\r\n"
-                f"Date: {formatdate(usegmt=True)}\r\n"
-                f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n")
-        self.wfile.write(head.encode("latin-1") + body)
+        close = "Connection: close\r\n" if self.close_connection else ""
+        head = (f"{_STATUS_LINES[status]}Date: {_http_date()}\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n{close}\r\n")
+        self.request.sendall(head.encode("latin-1") + body)
 
     def _raw_body(self, fields: dict[str, str]) -> bytes:
         text = fields.get("content-length", "0")
@@ -459,13 +634,19 @@ def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
     """Bind every node's wire address, then accept for them all on one thread.
 
     A failed bind closes the listeners bound so far and raises
-    `BootstrapError` before the thread starts. On each readable listener the
-    loop makes the call `serve_forever` makes, `_handle_request_noblock`:
-    accept, then one handler thread per connection. A listener closed
-    meanwhile (`shutdown`) leaves the loop's epoll set by itself, and an
-    accept racing the close fails with an `OSError` the call ignores.
+    `BootstrapError` before the thread starts. The thread, the only one
+    that touches its selector, watches the listeners, the read end of a
+    wake-up `socketpair` and the parked connections. A readable listener
+    gets `_handle_request_noblock`, the call `serve_forever` makes: accept,
+    then a handler thread (an accept racing a close fails with an
+    `OSError` the call ignores). A parked connection that turns readable
+    gets a handler thread too, and one parked for the handler's `timeout`
+    is closed. Other threads queue to the loop through `hand_back`, with a
+    wake-up byte: a connection to park, or a server whose `server_close`
+    has the loop drop its listener and close its parked connections.
     Returns the servers in `nodes` order and `stop_servers`, which closes
-    the loop's wake-up socket, joins the loop and closes every listener.
+    the wake-up socket, joins the loop, which closes what is still
+    parked, and closes every listener.
     """
     servers: list[_NodeServer] = []
     for node in nodes:
@@ -483,21 +664,77 @@ def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
     selector = selectors.DefaultSelector()
     for fileobj in (woken, *servers):
         selector.register(fileobj, selectors.EVENT_READ)
+    handed: deque[tuple[_NodeServer, socket.socket | None]] = deque()
+    lock = threading.Lock()  # orders each hand-back against the loop's end
+    running = True
+
+    def hand_back(server: _NodeServer, conn: socket.socket | None) -> None:
+        with lock:
+            if running:
+                handed.append((server, conn))
+                wake.send(b"\0")
+                return
+        if conn is not None:
+            conn.close()
+
+    # Parked connections by the time they expire, and so oldest first.
+    parked: dict[socket.socket, tuple[_NodeServer, float]] = {}
+
+    def unpark(conn: socket.socket) -> None:
+        del parked[conn]
+        selector.unregister(conn)
+
+    def take(server: _NodeServer, conn: socket.socket | None) -> None:
+        if conn is None:
+            selector.unregister(server)
+            for dropped in [held for held, (owner, _) in parked.items() if owner is server]:
+                unpark(dropped)
+                dropped.close()
+        elif server.closed:
+            conn.close()
+        else:
+            parked[conn] = (server, time.monotonic() + server.RequestHandlerClass.timeout)
+            selector.register(conn, selectors.EVENT_READ, server)
 
     def accept() -> None:  # until `wake` is closed, which makes `woken` readable
-        with selector, woken:
+        try:
             while True:
-                for key, _ in selector.select():
-                    if key.fileobj is woken:
-                        return
-                    key.fileobj._handle_request_noblock()
+                timeout = next(iter(parked.values()))[1] - time.monotonic() if parked else None
+                for key, _ in selector.select(timeout):
+                    fileobj, server = key.fileobj, key.data
+                    if fileobj is woken:
+                        if not woken.recv(4096):
+                            return
+                        while handed:
+                            take(*handed.popleft())
+                    elif server is None:  # a listener
+                        fileobj._handle_request_noblock()
+                    else:  # a parked connection: a request, or the client closed it
+                        unpark(fileobj)
+                        server.process_request(fileobj, None)
+                while parked:
+                    conn, (_, expires) = next(iter(parked.items()))
+                    if expires > time.monotonic():
+                        break
+                    unpark(conn)
+                    conn.close()
+        finally:
+            for conn in [*parked, *(conn for _, conn in handed if conn is not None)]:
+                conn.close()
+            selector.close()
+            woken.close()
 
     def stop_servers() -> None:
-        wake.close()
+        nonlocal running
+        with lock:
+            running = False
+            wake.close()
         loop.join()
         for server in servers:
             server.server_close()
 
+    for server in servers:
+        server.hand_back = hand_back
     loop = threading.Thread(target=accept, daemon=True, name="keycube-accept")
     loop.start()
     return list(servers), stop_servers  # a copy: a caller may drop a server from its list
@@ -579,6 +816,9 @@ class Network:
                 yield node_id, record
 
     def close(self) -> None:
+        """Close the pooled sockets to this network's ports, then stop its servers."""
+        if self.cfg.transport == TRANSPORT_WIRE:
+            _close_pooled(range(self.cfg.base_port, self.cfg.base_port + (1 << self.cfg.r)))
         self._stop_servers()
         self.servers = []
 

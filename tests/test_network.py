@@ -2,10 +2,13 @@ import enum
 import json
 import random
 import re
+import select
 import socket
 import struct
+import sys
 import threading
 import time
+from contextlib import contextmanager
 from http import HTTPStatus
 from types import SimpleNamespace
 from urllib.parse import urlencode
@@ -31,8 +34,11 @@ from keycube.network import (
     Network,
     NetworkConfig,
     WireTransport,
+    _close_pooled,
     _copy,
+    _exchange,
     _NodeRequestHandler,
+    _POOL,
     build_network,
     experiment_keywords,
     populate,
@@ -763,7 +769,7 @@ def test_superset_leg_failure_reports_the_whole_path():
         net.close()
 
 
-# --- the wire client: one socket per request ----------------------------------------
+# --- the wire client -------------------------------------------------------------------
 
 def http_reply(body, status="200 OK"):
     """A well-formed JSON reply with `status` and `body` (bytes)."""
@@ -824,7 +830,7 @@ def test_forward_leg_sends_the_envelope_as_json():
     assert node.body_sent == json.dumps(env).encode()
     assert int(node.headers["content-length"]) == len(node.body_sent)
     assert node.headers["host"] == f"127.0.0.1:{node.port}"
-    assert node.headers["connection"] == "close"
+    assert "connection" not in node.headers  # HTTP/1.1: the connection stays open
 
 
 def test_wire_insert_sends_the_record_as_json():
@@ -935,6 +941,160 @@ def test_bad_node_address_is_a_routing_failure(address):
 def test_wire_info_bad_address_is_routing_failure():
     with pytest.raises(RoutingFailure, match="bad node address"):
         wire_info("ftp://x")
+
+
+# --- keep-alive: the client's pool and the parked connections ------------------------
+
+def pooled(net):
+    """The idle client sockets held for `net`'s ports."""
+    ports = range(net.cfg.base_port, net.cfg.base_port + len(net.nodes))
+    return sum(len(idle) for (_, port), idle in _POOL.items() if port in ports)
+
+
+def threads_since(baseline):
+    """The live threads not in `baseline`, once those that are ending have ended."""
+    deadline = time.monotonic() + 5
+    while len(set(threading.enumerate()) - baseline) > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return set(threading.enumerate()) - baseline
+
+
+def test_idle_pooled_connections_hold_no_thread():
+    baseline = set(threading.enumerate())
+    with build_network(NetworkConfig(r=3, transport=TRANSPORT_WIRE,
+                                     base_port=free_port_block(8))) as net:
+        rng = random.Random(50)
+        words = experiment_keywords(3)
+        for _ in range(50):
+            net.pin_search(NodeId(3, rng.randrange(8)), rng.sample(words, 2))
+        assert [thread.name for thread in threads_since(baseline)] == ["keycube-accept"]
+        assert pooled(net) > 0
+    assert pooled(net) == 0  # closed by `Network.close`
+
+
+def test_a_pooled_socket_the_node_expired_is_replaced(monkeypatch):
+    monkeypatch.setattr(_NodeRequestHandler, "timeout", 0.2)
+    base = free_port_block(2)
+    with build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base)) as net:
+        address = net.cfg.address_of(NodeId(1, 0))
+        wire_info(address)
+        [expired] = _POOL[("127.0.0.1", base)]
+        time.sleep(0.5)  # parked for longer than the timeout: the node closes it
+        assert expired.recv(1, socket.MSG_PEEK) == b""
+        assert wire_info(address)["id"] == "0"
+        assert expired.fileno() == -1  # closed, not used
+        assert pooled(net) == 1
+
+
+def read_request(conn):
+    """Read one request head, all a stand-in's GET requests hold."""
+    data = b""
+    while not data.endswith(b"\r\n\r\n"):
+        data = recv_more(conn, data)
+    return data
+
+
+@contextmanager
+def scripted_node(serve):
+    """A loopback listener whose connections `serve(listener)` answers on its own
+    thread; yields the port, and closes the client's pooled sockets to it after."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5)
+        port = listener.getsockname()[1]
+        thread = threading.Thread(target=serve, args=(listener,), daemon=True)
+        thread.start()
+        try:
+            yield port
+        finally:
+            thread.join(timeout=10)
+            _close_pooled(range(port, port + 1))
+
+
+def test_a_reused_socket_closed_before_the_reply_is_retried_once_on_a_new_one():
+    def serve(listener):
+        conn, _ = listener.accept()
+        with conn:
+            read_request(conn)
+            conn.sendall(http_reply(b'{"n": 1}'))
+            read_request(conn)  # and closed unanswered
+        conn, _ = listener.accept()
+        with conn:
+            read_request(conn)
+            conn.sendall(http_reply(b'{"n": 2}'))
+
+    with scripted_node(serve) as port:
+        assert _exchange("127.0.0.1", port, "GET", "/info") == {"n": 1}
+        assert _exchange("127.0.0.1", port, "GET", "/info") == {"n": 2}
+
+
+def test_stray_bytes_after_a_reply_never_reach_a_later_call():
+    replied = threading.Event()
+
+    def serve(listener):
+        conn, _ = listener.accept()
+        with conn:
+            read_request(conn)
+            conn.sendall(http_reply(b'{"n": 1}'))
+            replied.wait(timeout=5)
+            conn.sendall(http_reply(b'{"stray": true}'))  # after the reply, unasked
+            fresh, _ = listener.accept()
+            with fresh:
+                read_request(fresh)
+                fresh.sendall(http_reply(b'{"n": 2}'))
+
+    with scripted_node(serve) as port:
+        assert _exchange("127.0.0.1", port, "GET", "/info") == {"n": 1}
+        [idle] = _POOL[("127.0.0.1", port)]
+        replied.set()
+        assert select.select([idle], [], [], 5)[0]  # the stray reply has arrived
+        assert _exchange("127.0.0.1", port, "GET", "/info") == {"n": 2}
+
+
+def test_a_shut_down_node_answers_no_later_leg():
+    base = free_port_block(4)
+    with build_network(NetworkConfig(r=2, transport=TRANSPORT_WIRE, base_port=base)) as net:
+        words = [next(word for word in experiment_keywords(2) if keyword_bit(word, 2) == bit)
+                 for bit in (0, 1)]  # owned by node 11, two hops from 00
+        for _ in range(3):  # every leg of the path leaves a pooled socket
+            path = net.pin_search(NodeId.parse("00"), words).nodes_visited
+        assert len(path) == 3 and pooled(net) == 3
+        net.servers[3].shutdown()
+        with pytest.raises(RoutingFailure) as info:
+            net.pin_search(NodeId.parse("00"), words)
+        assert info.value.visited == [node.text for node in path[:-1]]
+        with pytest.raises(RoutingFailure):
+            wire_info(net.cfg.address_of(NodeId.parse("11")))
+
+
+def test_concurrent_clients_leave_no_handler_thread():
+    baseline = set(threading.enumerate())
+    twin = make_net(3)
+    populate(twin, 24, seed=8)
+    words = experiment_keywords(3)
+    queries = [[(NodeId(3, rng.randrange(8)), rng.sample(words, rng.randint(1, 2)))
+                for _ in range(15)] for rng in map(random.Random, range(8))]
+    with build_network(NetworkConfig(r=3, transport=TRANSPORT_WIRE,
+                                     base_port=free_port_block(8))) as net:
+        populate(net, 24, seed=8)
+        results = [None] * len(queries)
+
+        def client(k):
+            results[k] = [net.pin_search(start, keywords) for start, keywords in queries[k]]
+
+        clients = [threading.Thread(target=client, args=(k,)) for k in range(len(queries))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads interleave inside the pool and the accept loop
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert results == [[twin.pin_search(start, keywords) for start, keywords in batch]
+                           for batch in queries]
+        assert [thread.name for thread in threads_since(baseline)] == ["keycube-accept"]
 
 
 # --- in-process legs: a strict structural copy ----------------------------------------
