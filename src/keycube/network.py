@@ -11,14 +11,15 @@ network's listeners; legs between nodes are POST /internal/forward.
 Every node-to-node leg and every client call goes through `_exchange`,
 which keeps idle sockets in one pool per (host, port), sends each request
 in one write and frames each reply by its Content-Length. The server side
-is a plain `socketserver` server that mirrors the client: `_read_head`
-reads each request head without `http.client`'s header parser, keeping
-only the fields the server reads, every request's body is read once, one
-table (`_ROUTES`) picks the node call by method and path, and each reply
-goes out in one write. A head it refuses gets a JSON `BadRequest` reply.
-Each request that arrives is served on a thread started for it; between
-requests a connection waits, holding no thread, in the accept loop, which
-closes it once it has been idle for `WIRE_TIMEOUT`.
+mirrors it with a plain listener per node and a connection that owns its
+read buffer: `_read_head` reads each request head without `http.client`'s
+header parser, keeping only the fields the server reads, every request's
+body is read once, one table (`_ROUTES`) picks the node call by method
+and path, and each reply goes out in one write. A head it refuses gets a
+JSON `BadRequest` reply. Each request that arrives is served on a thread
+started for it; between requests a connection waits, holding no thread,
+in the accept loop, which closes it once it has been idle for
+`WIRE_TIMEOUT`.
 
 Per node, wire mode:
     POST /insert            {"cid": str, "keywords": [str]}
@@ -32,7 +33,6 @@ Per node, wire mode:
 from __future__ import annotations
 
 import atexit
-import io
 import json
 import logging
 import random
@@ -40,14 +40,14 @@ import re
 import select
 import selectors
 import socket
-import socketserver
 import threading
 import time
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator
 from urllib.parse import parse_qs, urlencode, urlsplit
 
 from .errors import (
@@ -197,7 +197,7 @@ def _pool(key: tuple[str, int], sock: socket.socket) -> None:
     sock.close()
 
 
-def _close_pooled(ports: range) -> None:
+def _close_pooled(ports: Container[int]) -> None:
     """Close every idle socket to one of `ports`, whatever its host."""
     with _POOL_LOCK:
         dropped = [_POOL.pop(key) for key in [key for key in _POOL if key[1] in ports]]
@@ -206,7 +206,7 @@ def _close_pooled(ports: range) -> None:
             sock.close()
 
 
-atexit.register(_close_pooled, range(1 << 16))  # those no `Network.close` reached
+atexit.register(_close_pooled, range(1 << 16))  # those no accept loop's end reached
 
 
 def _read_reply(sock: socket.socket, data: bytes) -> bytes:
@@ -285,48 +285,30 @@ def _exchange(host: str, port: int, method: str, path: str, body: dict | None = 
     return payload
 
 
-class _NodeServer(socketserver.ThreadingTCPServer):
-    """One node's listener; `start_node_server` runs its accept loop."""
+class _NodeServer:
+    """One node's listener, and `hand_back`, the way to its accept loop from any thread."""
 
-    allow_reuse_address = True
-    daemon_threads = True
-    closed = False  # set by the first `server_close`: from then on no request is served
-    logical_node: LogicalNode
+    timeout = WIRE_TIMEOUT  # seconds a connection may stall in a request or sit parked
+    closed = False  # set by the first `shutdown`: from then on no request is served
 
-    @staticmethod
-    def hand_back(server: _NodeServer, conn: socket.socket | None) -> None:
-        """From any thread: park `conn` in the accept loop, or with None tell the
-        loop that `server` closed. This one, for a server with no loop, closes it."""
-        if conn is not None:
-            conn.close()
-
-    def get_request(self) -> tuple[socket.socket, object]:
-        conn, address = super().get_request()
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return conn, address
-
-    def process_request_thread(self, request: socket.socket, client_address) -> None:
-        """A handler thread: answer what has arrived on `request`, then park or close it."""
-        try:
-            close = self.RequestHandlerClass(request, client_address, self).close_connection
-        except Exception:
-            self.handle_error(request, client_address)
-            close = True
-        if close:
-            self.shutdown_request(request)
-        else:
-            self.hand_back(self, request)
-
-    def server_close(self) -> None:
-        """Close the listener; the accept loop then closes this node's parked connections."""
-        if not self.closed:
-            self.closed = True
-            self.hand_back(self, None)  # before the close, so the loop never sees its fd reused
-        super().server_close()
+    def __init__(self, address: tuple[str, int], node: LogicalNode,
+                 hand_back: Callable[[_Connection | _NodeServer], None]):
+        self.socket = socket.create_server(address)
+        self.logical_node = node
+        self.hand_back = hand_back
+        self._closing = threading.Lock()
 
     def shutdown(self) -> None:
-        """Stop serving for this node at once (see `start_node_server`)."""
-        self.server_close()
+        """Stop serving for this node at once: close the listener, and have the
+        accept loop close this node's parked connections. Idempotent, from any thread."""
+        with self._closing:
+            if self.closed:
+                return
+            self.closed = True
+        self.hand_back(self)  # before the close, so the loop never sees its fd reused
+        self.socket.close()
+
+    server_close = shutdown
 
 
 class _BadHead(Exception):
@@ -337,14 +319,14 @@ class _BadHead(Exception):
         self.status = status
 
 
-# The client went silent for the handler's `timeout`, or went away.
+# The client went silent for the server's `timeout`, or went away.
 _CLIENT_GONE = (TimeoutError, ConnectionError)
 _MAX_LINE = 65536  # bytes in the request line or in one header line, as in http.server
 _MAX_HEADERS = 100  # header lines in one head, as in http.client
 _HEAD_FIELDS = frozenset({"content-length", "connection", "expect", "transfer-encoding"})
 
 
-def _read_head(rfile: BinaryIO) -> tuple[str, str, str, dict[str, str]] | None:
+def _read_head(conn: _Connection) -> tuple[str, str, str, dict[str, str]] | None:
     """Read one request head: method, path, version and the header fields the server reads.
 
     Field names are lower-cased and values stripped; only `_HEAD_FIELDS` are
@@ -354,7 +336,7 @@ def _read_head(rfile: BinaryIO) -> tuple[str, str, str, dict[str, str]] | None:
     transfer coding) raises `_BadHead`, as do two differing Content-Lengths
     (RFC 9112 section 6.3).
     """
-    line = rfile.readline(_MAX_LINE + 1)
+    line = conn.readline(_MAX_LINE + 1)
     if not line:
         return None
     if len(line) > _MAX_LINE:
@@ -371,7 +353,7 @@ def _read_head(rfile: BinaryIO) -> tuple[str, str, str, dict[str, str]] | None:
         raise _BadHead(HTTPStatus.NOT_IMPLEMENTED, f"unsupported method {method[:20]!r}")
     fields: dict[str, str] = {}
     for _ in range(_MAX_HEADERS + 1):
-        line = rfile.readline(_MAX_LINE + 1)
+        line = conn.readline(_MAX_LINE + 1)
         if line in (b"\r\n", b"\n", b""):
             break
         if len(line) > _MAX_LINE:
@@ -395,22 +377,6 @@ def _read_head(rfile: BinaryIO) -> tuple[str, str, str, dict[str, str]] | None:
     return method, path, version, fields
 
 
-class _Recv(io.RawIOBase):
-    """A connection's reads. While `held`, a read finds nothing, so that
-    `peek` on a `BufferedReader` over it shows only what it has buffered."""
-
-    held = False
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int | None:
-        return None if self.held else self.sock.recv_into(buffer)
-
-
 _STATUS_LINES = {status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
                  for status in HTTPStatus}
 _date = (0, "")  # (second, its HTTP-date), one tuple so that no thread sees half an update
@@ -426,13 +392,14 @@ def _http_date() -> str:
     return text
 
 
-class _NodeRequestHandler(socketserver.BaseRequestHandler):
-    """The requests that have arrived on one connection, each answered with JSON.
+class _Connection:
+    """One accepted socket of a node server, with the bytes read from it but not yet used.
 
-    It runs on a thread started when the connection was accepted or, parked
-    in the accept loop, turned readable. It serves one request, then any a
-    client pipelined that are already in its read buffer, and leaves
-    `close_connection` false if the connection is to be parked again.
+    `handle` answers its requests, each with JSON, on a thread started when
+    the connection was accepted or, parked in the accept loop, turned
+    readable. It serves one request, then any a client pipelined that are
+    already in `buffer`, and then hands the connection back to be parked
+    again, or closes it.
 
     Each request takes the same steps. `_read_head` reads its head, and a
     head it refuses gets a `BadRequest` reply with the status it names,
@@ -443,40 +410,65 @@ class _NodeRequestHandler(socketserver.BaseRequestHandler):
     body is read, whatever the method or path, so the next request starts
     where this one ends. Last, `_ROUTES` picks the node call by method and
     path, and its result or error is the one reply, with `Connection:
-    close` if the connection closes after it. A connection stalled for
-    `timeout` seconds, or reset by the client, is closed unanswered and
-    nothing is logged.
+    close` if the connection closes after it. A connection stalled for the
+    server's `timeout` seconds, or reset by the client, is closed unanswered
+    and nothing is logged.
     """
 
-    timeout = WIRE_TIMEOUT
+    def __init__(self, sock: socket.socket, server: _NodeServer):
+        sock.settimeout(server.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self.server = server
+        self.buffer = bytearray()
 
-    def setup(self) -> None:
-        self.request.settimeout(self.timeout)
-        self._recv = _Recv(self.request)
-        self.rfile = io.BufferedReader(self._recv)
+    def close(self) -> None:
+        """Send the end of the stream, then close (RFC 9112 section 9.6)."""
+        with suppress(OSError):  # the client has gone already
+            self.sock.shutdown(socket.SHUT_WR)
+        self.sock.close()
+
+    def readline(self, limit: int) -> bytes:
+        """The bytes through the next LF, at most `limit`; fewer and no LF only at the end."""
+        scanned = 0
+        while (end := self.buffer.find(b"\n", scanned, limit)) < 0 and len(self.buffer) < limit:
+            scanned = len(self.buffer)
+            if not self._fill():
+                break
+        return self.read(limit if end < 0 else end + 1)
+
+    def read(self, size: int) -> bytes:
+        """The next `size` bytes; fewer only at the end of the stream."""
+        while len(self.buffer) < size and self._fill():
+            pass
+        data = bytes(self.buffer[:size])
+        del self.buffer[:size]
+        return data
+
+    def _fill(self) -> bool:
+        """Read what has arrived into `buffer`; False at the end of the stream."""
+        chunk = self.sock.recv(65536)
+        self.buffer += chunk
+        return bool(chunk)
 
     def handle(self) -> None:
         try:
             self._serve_one()
-            while not self.close_connection and self._buffered():
+            while not self.close_connection and self.buffer:
                 self._serve_one()
-        except _CLIENT_GONE:  # no one to answer
+        except Exception as exc:  # lose this connection, not the node
+            if not isinstance(exc, _CLIENT_GONE):  # a bug, not a client that went
+                logger.exception("node %s failed on a connection", self.server.logical_node.id)
             self.close_connection = True
-
-    def finish(self) -> None:
-        self.rfile.close()
-
-    def _buffered(self) -> bool:
-        """Whether another request has begun in the read buffer; the socket is not read."""
-        self._recv.held = True
-        pending = self.rfile.peek(1)
-        self._recv.held = False
-        return bool(pending)
+        if self.close_connection:
+            self.close()
+        else:
+            self.server.hand_back(self)
 
     def _serve_one(self) -> None:
         self.close_connection = True
         try:
-            head = _read_head(self.rfile)
+            head = _read_head(self)
         except _BadHead as exc:
             self._send(exc.status, error_payload(BadRequest(str(exc))))
             return
@@ -487,7 +479,7 @@ class _NodeRequestHandler(socketserver.BaseRequestHandler):
         if version == "HTTP/1.1":
             self.close_connection = connection == "close"
             if fields.get("expect", "").lower() == "100-continue":
-                self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+                self.sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         else:
             self.close_connection = connection != "keep-alive"
         # A leading "//" would make urlsplit read a host; fold it into one "/".
@@ -518,7 +510,7 @@ class _NodeRequestHandler(socketserver.BaseRequestHandler):
         close = "Connection: close\r\n" if self.close_connection else ""
         head = (f"{_STATUS_LINES[status]}Date: {_http_date()}\r\n"
                 f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n{close}\r\n")
-        self.request.sendall(head.encode("latin-1") + body)
+        self.sock.sendall(head.encode("latin-1") + body)
 
     def _raw_body(self, fields: dict[str, str]) -> bytes:
         text = fields.get("content-length", "0")
@@ -529,7 +521,7 @@ class _NodeRequestHandler(socketserver.BaseRequestHandler):
         if length > MAX_BODY_BYTES:
             self.close_connection = True  # the body is left unread
             raise BadRequest(f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes")
-        return self.rfile.read(length) if length else b"{}"
+        return self.read(length) if length else b"{}"
 
 
 # -- request decoding: every malformed request becomes a BadRequest (400) ----
@@ -636,91 +628,104 @@ def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
     A failed bind closes the listeners bound so far and raises
     `BootstrapError` before the thread starts. The thread, the only one
     that touches its selector, watches the listeners, the read end of a
-    wake-up `socketpair` and the parked connections. A readable listener
-    gets `_handle_request_noblock`, the call `serve_forever` makes: accept,
-    then a handler thread (an accept racing a close fails with an
-    `OSError` the call ignores). A parked connection that turns readable
-    gets a handler thread too, and one parked for the handler's `timeout`
-    is closed. Other threads queue to the loop through `hand_back`, with a
-    wake-up byte: a connection to park, or a server whose `server_close`
-    has the loop drop its listener and close its parked connections.
-    Returns the servers in `nodes` order and `stop_servers`, which closes
-    the wake-up socket, joins the loop, which closes what is still
-    parked, and closes every listener.
+    wake-up `socketpair` and the parked connections. A connection accepted
+    on a listener (an accept racing a close fails with an `OSError` that is
+    ignored) or parked and turned readable goes to `serve`, the one place a
+    handler thread starts; if none can, the connection is closed and the
+    loop goes on. A connection parked for its server's `timeout` is closed.
+    Other threads queue to the loop through `hand_back`, with a wake-up
+    byte: a connection to park, or a server whose `shutdown` has the loop
+    drop its listener and close its parked connections. Returns the servers
+    in `nodes` order and `stop_servers`, which closes the wake-up socket and
+    joins the loop. As it ends, the loop closes the pooled client sockets
+    to its ports, then what is still parked, then every listener. So no
+    handler thread starts to read the end of a stream the pool closed.
     """
+    handed: deque[_Connection | _NodeServer] = deque()
+    lock = threading.Lock()  # orders each hand-back against the loop's end
+    running = True
+
+    def hand_back(item: _Connection | _NodeServer) -> None:
+        with lock:
+            if running:
+                handed.append(item)
+                wake.send(b"\0")
+                return
+        if isinstance(item, _Connection):
+            item.close()
+
     servers: list[_NodeServer] = []
     for node in nodes:
         port = cfg.port_of(node.id)
         try:
-            server = _NodeServer((cfg.host, port), _NodeRequestHandler)
+            servers.append(_NodeServer((cfg.host, port), node, hand_back))
         except OSError as exc:
             for server in servers:
-                server.server_close()
+                server.socket.close()
             raise BootstrapError(
                 f"node {node.id.text} cannot bind {cfg.host}:{port}: {exc}") from exc
-        server.logical_node = node
-        servers.append(server)
     wake, woken = socket.socketpair()
     selector = selectors.DefaultSelector()
-    for fileobj in (woken, *servers):
-        selector.register(fileobj, selectors.EVENT_READ)
-    handed: deque[tuple[_NodeServer, socket.socket | None]] = deque()
-    lock = threading.Lock()  # orders each hand-back against the loop's end
-    running = True
+    selector.register(woken, selectors.EVENT_READ)
+    for server in servers:
+        selector.register(server.socket, selectors.EVENT_READ, server)
+    parked: dict[_Connection, float] = {}  # by the time they expire, and so oldest first
 
-    def hand_back(server: _NodeServer, conn: socket.socket | None) -> None:
-        with lock:
-            if running:
-                handed.append((server, conn))
-                wake.send(b"\0")
-                return
-        if conn is not None:
-            conn.close()
-
-    # Parked connections by the time they expire, and so oldest first.
-    parked: dict[socket.socket, tuple[_NodeServer, float]] = {}
-
-    def unpark(conn: socket.socket) -> None:
+    def unpark(conn: _Connection) -> None:
         del parked[conn]
-        selector.unregister(conn)
+        selector.unregister(conn.sock)
 
-    def take(server: _NodeServer, conn: socket.socket | None) -> None:
-        if conn is None:
-            selector.unregister(server)
-            for dropped in [held for held, (owner, _) in parked.items() if owner is server]:
+    def take(item: _Connection | _NodeServer) -> None:
+        if isinstance(item, _NodeServer):
+            selector.unregister(item.socket)
+            for dropped in [conn for conn in parked if conn.server is item]:
                 unpark(dropped)
                 dropped.close()
-        elif server.closed:
-            conn.close()
+        elif item.server.closed:
+            item.close()
         else:
-            parked[conn] = (server, time.monotonic() + server.RequestHandlerClass.timeout)
-            selector.register(conn, selectors.EVENT_READ, server)
+            parked[item] = time.monotonic() + item.server.timeout
+            selector.register(item.sock, selectors.EVENT_READ, item)
+
+    def serve(conn: _Connection) -> None:
+        try:
+            threading.Thread(target=conn.handle, daemon=True).start()
+        except RuntimeError:  # no thread to be had
+            logger.exception("node %s cannot serve a connection", conn.server.logical_node.id)
+            conn.close()
 
     def accept() -> None:  # until `wake` is closed, which makes `woken` readable
         try:
             while True:
-                timeout = next(iter(parked.values()))[1] - time.monotonic() if parked else None
+                timeout = next(iter(parked.values())) - time.monotonic() if parked else None
                 for key, _ in selector.select(timeout):
-                    fileobj, server = key.fileobj, key.data
-                    if fileobj is woken:
+                    item = key.data
+                    if item is None:  # `woken`
                         if not woken.recv(4096):
                             return
                         while handed:
-                            take(*handed.popleft())
-                    elif server is None:  # a listener
-                        fileobj._handle_request_noblock()
+                            take(handed.popleft())
+                    elif isinstance(item, _NodeServer):
+                        try:
+                            sock, _ = item.socket.accept()
+                        except OSError:
+                            continue
+                        serve(_Connection(sock, item))
                     else:  # a parked connection: a request, or the client closed it
-                        unpark(fileobj)
-                        server.process_request(fileobj, None)
+                        unpark(item)
+                        serve(item)
                 while parked:
-                    conn, (_, expires) = next(iter(parked.items()))
+                    conn, expires = next(iter(parked.items()))
                     if expires > time.monotonic():
                         break
                     unpark(conn)
                     conn.close()
-        finally:
-            for conn in [*parked, *(conn for _, conn in handed if conn is not None)]:
+        finally:  # the client side closes first, and so holds the TIME_WAIT
+            _close_pooled({cfg.port_of(server.logical_node.id) for server in servers})
+            for conn in [*parked, *(item for item in handed if isinstance(item, _Connection))]:
                 conn.close()
+            for server in servers:
+                server.shutdown()
             selector.close()
             woken.close()
 
@@ -730,11 +735,7 @@ def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
             running = False
             wake.close()
         loop.join()
-        for server in servers:
-            server.server_close()
 
-    for server in servers:
-        server.hand_back = hand_back
     loop = threading.Thread(target=accept, daemon=True, name="keycube-accept")
     loop.start()
     return list(servers), stop_servers  # a copy: a caller may drop a server from its list
@@ -816,9 +817,7 @@ class Network:
                 yield node_id, record
 
     def close(self) -> None:
-        """Close the pooled sockets to this network's ports, then stop its servers."""
-        if self.cfg.transport == TRANSPORT_WIRE:
-            _close_pooled(range(self.cfg.base_port, self.cfg.base_port + (1 << self.cfg.r)))
+        """Stop this network's servers, whose loop first closes the pooled sockets to them."""
         self._stop_servers()
         self.servers = []
 

@@ -18,6 +18,7 @@ import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from keycube import network
 from keycube.errors import (
     BootstrapError,
     DimensionMismatch,
@@ -37,7 +38,7 @@ from keycube.network import (
     _close_pooled,
     _copy,
     _exchange,
-    _NodeRequestHandler,
+    _NodeServer,
     _POOL,
     build_network,
     experiment_keywords,
@@ -455,17 +456,22 @@ def recv_more(sock, data):
 
 
 def read_reply(sock):
-    """Read one reply, framed by its Content-Length, off an open socket: (head lines, body)."""
+    """Read one reply, after any `100 Continue`, framed by its Content-Length, off an open
+    socket: (head lines, body). Fails if the socket closes first or sends more."""
     data = b""
-    while b"\r\n\r\n" not in data:
-        data = recv_more(sock, data)
-    head, _, body = data.partition(b"\r\n\r\n")
+    while True:
+        while b"\r\n\r\n" not in data:
+            data = recv_more(sock, data)
+        head, _, data = data.partition(b"\r\n\r\n")
+        if not head.startswith(b"HTTP/1.1 100 "):
+            break
     lines = head.decode("latin-1").split("\r\n")
     length = next(int(line.split(":", 1)[1]) for line in lines[1:]
                   if line.lower().startswith("content-length:"))
-    while len(body) < length:
-        body = recv_more(sock, body)
-    return lines, body
+    while len(data) < length:
+        data = recv_more(sock, data)
+    assert len(data) == length, "bytes past the reply"
+    return lines, data
 
 
 def test_expect_100_continue_is_answered_before_the_body(wire_net):
@@ -583,6 +589,10 @@ BAD_HEADS = {
     "request line over 65536 bytes": (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414),
     "header line over 65536 bytes": (b"GET /info HTTP/1.1\r\nX-Pad: " + b"a" * 65536
                                      + b"\r\n\r\n", 431),
+    # Refused once the limit is passed, without waiting for the line's end.
+    "request line over 65536 bytes, its end not sent": (b"GET /" + b"a" * 70000, 414),
+    "header line over 65536 bytes, its end not sent": (b"GET /info HTTP/1.1\r\nX-Pad: "
+                                                      + b"a" * 70000, 431),
     "header line with no colon": (b"GET /info HTTP/1.1\r\nHost x\r\n\r\n", 400),
     "header name with a space before its colon": (b"GET /info HTTP/1.1\r\nHost : x\r\n\r\n",
                                                   400),
@@ -615,8 +625,8 @@ def test_repeated_equal_content_length_is_accepted(wire_net):
 
 
 def test_silent_or_vanished_client_is_dropped_quietly(monkeypatch, caplog, capsys):
-    assert _NodeRequestHandler.timeout == WIRE_TIMEOUT
-    monkeypatch.setattr(_NodeRequestHandler, "timeout", 0.5)
+    assert _NodeServer.timeout == WIRE_TIMEOUT
+    monkeypatch.setattr(_NodeServer, "timeout", 0.5)
     partial = [b"", b"GET /info HTTP/1.1\r\nHost: x\r\n",  # idle; stalled in its head
                POST_HEAD + b"Content-Length: %d\r\n\r\n{" % len(RECORD)]  # in its body
     base = free_port_block(2)
@@ -642,7 +652,7 @@ def test_silent_or_vanished_client_is_dropped_quietly(monkeypatch, caplog, capsy
         assert threading.active_count() <= threads
         assert net.pin_search(NodeId.parse("1"), []).cids == ()
     assert not caplog.records
-    assert capsys.readouterr().err == ""  # no traceback from socketserver either
+    assert capsys.readouterr().err == ""  # no traceback on stderr either
 
 
 def exploding_hash(word, r):
@@ -973,7 +983,7 @@ def test_idle_pooled_connections_hold_no_thread():
 
 
 def test_a_pooled_socket_the_node_expired_is_replaced(monkeypatch):
-    monkeypatch.setattr(_NodeRequestHandler, "timeout", 0.2)
+    monkeypatch.setattr(_NodeServer, "timeout", 0.2)
     base = free_port_block(2)
     with build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base)) as net:
         address = net.cfg.address_of(NodeId(1, 0))
@@ -1095,6 +1105,118 @@ def test_concurrent_clients_leave_no_handler_thread():
         assert results == [[twin.pin_search(start, keywords) for start, keywords in batch]
                            for batch in queries]
         assert [thread.name for thread in threads_since(baseline)] == ["keycube-accept"]
+
+
+def test_close_after_traffic_starts_no_thread(monkeypatch):
+    """The servers stop first, so closing the pooled sockets wakes no parked connection."""
+    net = build_network(NetworkConfig(r=4, transport=TRANSPORT_WIRE,
+                                      base_port=free_port_block(16)))
+    populate(net, 100, seed=1)
+    assert pooled(net) > 0
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    net.close()
+    assert started == []
+    assert pooled(net) == 0
+
+
+def test_a_handler_thread_that_cannot_start_costs_one_connection(monkeypatch, caplog):
+    monkeypatch.setattr(network, "WIRE_TIMEOUT", 2.0)  # a client waits no longer than this
+    base = free_port_block(2)
+    with build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base)) as net:
+        address = net.cfg.address_of(NodeId(1, 0))
+        wire_info(address)  # leaves a pooled socket, parked at the node
+        failed = []
+        start = threading.Thread.start
+
+        def start_failing_once(thread):
+            if not failed:
+                failed.append(thread.name)
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_failing_once)
+        assert wire_info(address)["id"] == "0"  # the parked connection was closed: retried
+        assert len(failed) == 1
+        assert "keycube-accept" in [thread.name for thread in threading.enumerate()]
+        assert wire_info(net.cfg.address_of(NodeId(1, 1)))["id"] == "1"
+    assert "cannot serve a connection" in caplog.text
+
+
+# --- fuzzing the server over a raw socket ---------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_port():
+    base = free_port_block(2)
+    with build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base)):
+        yield base
+
+
+FREE_TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=255,
+                                  exclude_characters="\r\n"), max_size=16)
+# Header names that can never spell a field the server reads.
+FREE_NAME = st.text("XYZxyz-_ \t!@", max_size=8)
+HEADER_LINES = st.one_of(
+    st.sampled_from([
+        "Host: x", "Connection: close", "Connection: Close", "Connection: keep-alive",
+        "Connection: keep-alive, close", "Connection:", "Expect: 100-continue",
+        "Expect: something-else", "Transfer-Encoding: chunked", "Transfer-Encoding: identity",
+        "Transfer-Encoding:", "Host : x", " Host: x", "\tHost: x", "NoColon", ": no name",
+        "X Pad: y", "X-Pad:"]),
+    st.builds("{}:{}".format, FREE_NAME, FREE_TEXT),
+)
+BODIES = st.one_of(
+    st.binary(max_size=1024),
+    st.sampled_from([
+        b'{"cid": "fuzz", "keywords": ["kw0000"]}', b'{"cid": 5}', b"[]", b"{}", b"null",
+        b'{"op": "ping", "target": "1", "visited": []}', b'{"op": "pin"}', b"[" * 600]),
+)
+# The framing of the body: its Content-Length written in one of these ways.
+FRAMINGS = st.one_of(
+    st.sampled_from(["Content-Length: {n}", "content-length:{n}", "CONTENT-LENGTH:  {n} ",
+                     "Content-Length: 00{n}", "Content-Length: {n}\r\nContent-Length: {n}"]),
+    st.none(),  # no Content-Length, and so no body
+    st.sampled_from(["abc", "-1", "+1", "1e3", "\xb2", "", "1, 1", str(MAX_BODY_BYTES + 1),
+                     "{n}\r\nContent-Length: 1{n}"]).map("Content-Length: {}".format),
+)
+
+
+@given(method=st.sampled_from(["GET", "POST", "PUT", "HEAD", "get", ""]) | FREE_TEXT,
+       path=st.sampled_from(["/info", "/pin?keywords=kw0000", "/superset?keywords=kw0000&limit=2",
+                             "/superset?limit=x", "/insert", "/remove", "/internal/forward",
+                             "/nope", "//info", "*", "http://[x/info", "/a b"]) | FREE_TEXT,
+       version=st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/0.9", "ICY/1.1",
+                                "HTTP/1.1 extra", "http/1.1"]),
+       headers=st.lists(HEADER_LINES, max_size=8), framing=FRAMINGS, body=BODIES)
+@settings(max_examples=300, deadline=None)
+def test_every_request_gets_one_whole_json_reply(fuzz_port, method, path, version, headers,
+                                                  framing, body):
+    if framing is None:
+        body = b""
+    else:
+        headers = [*headers, framing.format(n=len(body))]
+    request = "\r\n".join([f"{method} {path} {version}", *headers, "", ""])
+    with socket.create_connection(("127.0.0.1", fuzz_port), timeout=5) as sock:
+        sock.sendall(request.encode("latin-1") + body)
+        lines, reply = read_reply(sock)
+        assert type(json.loads(reply)) is dict
+        if not any(re.fullmatch(r"connection:\s*close\s*", line, re.I) for line in lines[1:]):
+            # Still good for the next request, which asks the node to close, as the
+            # reply says: the node's side, not the client's, holds the TIME_WAIT.
+            sock.sendall(b"GET /info HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+            lines, reply = read_reply(sock)
+            assert lines[0] == "HTTP/1.1 200 OK" and lines[-1] == "Connection: close"
+            assert json.loads(reply)["id"] == "0"
+        try:
+            assert sock.recv(1) == b""  # the node closes after a reply that says so
+        except ConnectionResetError:  # and the client's unread bytes make it a reset
+            pass
 
 
 # --- in-process legs: a strict structural copy ----------------------------------------

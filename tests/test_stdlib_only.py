@@ -35,7 +35,8 @@ with build_network(cfg):
     words = KeywordSet(experiment_keywords(2)[:2])
     assert wire_insert(address, "cid-stdlib", words)["status"] == "stored"
     assert wire_pin(cfg.address_of(NodeId(2, 0)), words)["cids"] == ["cid-stdlib"]
-assert "http.server" not in sys.modules  # the node server is socketserver alone
+assert "http.server" not in sys.modules  # the node server is a plain listener
+assert "socketserver" not in sys.modules
 
 loaded = {name.partition(".")[0] for name, module in sys.modules.items()
           if module is not None} - preloaded
