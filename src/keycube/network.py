@@ -1,12 +1,12 @@
 """Complete 2**r-node networks over two interchangeable transports.
 
-The in-process transport dispatches envelopes by direct call, handing the
-callee a strict structural copy of every envelope and the caller one of
-every reply. The copy accepts exactly JSON's types and shares no mutable
-object, so both transports move the same payloads; results are identical
-by construction, not by luck. The wire transport gives every logical node
-an HTTP listener on its own OS port, and one thread accepts for all of a
-network's listeners; legs between nodes are POST /internal/forward.
+The in-process transport dispatches envelopes by direct call. The callee
+gets a strict structural copy of each envelope, and `Network` copies each
+reply once, at the client. The copy accepts exactly JSON's types and shares
+no mutable object, so both transports move the same payloads; results are
+identical by construction, not by luck. The wire transport gives every
+logical node an HTTP listener on its own OS port, and one thread accepts for
+all of a network's listeners; legs between nodes are POST /internal/forward.
 
 Every node-to-node leg and every client call goes through `_exchange`,
 which keeps idle sockets in one pool per (host, port), sends each request
@@ -107,13 +107,13 @@ class NetworkConfig:
 
 
 class InProcessTransport:
-    """Direct dispatch with strict structural copies (`_copy`) for wire parity."""
+    """Direct dispatch: a strict copy (`_copy`) of the envelope in, the callee's own reply out."""
 
     def __init__(self, nodes: dict[NodeId, LogicalNode]):
         self.nodes = nodes
 
     def call(self, target: NodeId, envelope: dict) -> dict:
-        return _copy(self.nodes[target].handle_forward(_copy(envelope)))
+        return self.nodes[target].handle_forward(_copy(envelope))
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -765,7 +765,7 @@ class Network:
             raise ValueError(f"cid must be a string, got {cid!r}")
         if self.cfg.transport == TRANSPORT_WIRE:
             return wire_insert(self.cfg.address_of(start), cid, keywords)
-        return self.nodes[start].client_insert(cid, keywords)
+        return self._in_process(start, "client_insert", cid, keywords)
 
     def remove(self, cid: str, keywords, start: NodeId | None = None) -> dict:
         keywords, start = KeywordSet(keywords), self._entry(start)
@@ -773,28 +773,28 @@ class Network:
             raise ValueError(f"cid must be a string, got {cid!r}")
         if self.cfg.transport == TRANSPORT_WIRE:
             return wire_remove(self.cfg.address_of(start), cid, keywords)
-        return self.nodes[start].client_remove(cid, keywords)
+        return self._in_process(start, "client_remove", cid, keywords)
 
     def pin_search(self, start: NodeId, keywords) -> QueryResult:
         keywords, start = KeywordSet(keywords), self._entry(start)
         if self.cfg.transport == TRANSPORT_WIRE:
-            reply = wire_pin(self.cfg.address_of(start), keywords)
-        else:
-            reply = self.nodes[start].client_pin(keywords)
-        return QueryResult.from_reply(reply)
+            return QueryResult.from_reply(wire_pin(self.cfg.address_of(start), keywords))
+        return QueryResult.from_reply(self._in_process(start, "client_pin", keywords))
 
     def superset_search(self, start: NodeId, keywords, limit: int) -> QueryResult:
         keywords, start = KeywordSet(keywords), self._entry(start)
         if self.cfg.transport == TRANSPORT_WIRE:
             reply = wire_superset(self.cfg.address_of(start), keywords, limit)
-        else:
-            reply = self.nodes[start].client_superset(keywords, limit)
-        return QueryResult.from_reply(reply)
+            return QueryResult.from_reply(reply)
+        return QueryResult.from_reply(self._in_process(start, "client_superset", keywords, limit))
 
     def route(self, start: NodeId, target: NodeId) -> QueryResult:
         """Deliver a ping from start to target; measures pure routing cost."""
-        reply = self.nodes[self._entry(start)].client_ping(target)
+        reply = self._in_process(self._entry(start), "client_ping", target)
         return QueryResult((), reply["hops"], tuple(map(NodeId.parse, reply["visited"])))
+
+    def _in_process(self, start: NodeId, entry: str, *args) -> dict:
+        return _copy(getattr(self.nodes[start], entry)(*args))  # the one copy of a reply
 
     def _entry(self, start: NodeId | None) -> NodeId:
         """`start`, or node 0 when None; a start of another r is refused on either transport."""

@@ -84,8 +84,8 @@ class Transport(Protocol):
 
     The callee must neither keep nor mutate the envelope it is given: a
     walk node passes one leg dict to all its children in turn. Both
-    transports hand the callee its own copy (a structural copy in process,
-    the decoded JSON body on the wire).
+    transports hand the callee its own copy. A caller neither keeps nor
+    mutates a reply, so in process it is copied once, at the client.
     """
 
     def call(self, target: NodeId, envelope: dict) -> dict: ...
@@ -205,13 +205,13 @@ class LogicalNode:
                     seen.add(cid)
                     collected.append(cid)
 
-        if len(collected) < limit:
+        # `superset_lookup` has refused a node outside the region. A leaf builds no leg.
+        if len(collected) < limit and (children := _covered_children(self.id, query_bits)):
             # One leg for all children; its `collected` grows as replies come back.
             leg = {"op": "superset_visit", "target": env["target"],
                    "keywords": env["keywords"], "limit": limit,
                    "collected": collected, "visited": []}
-            # `superset_lookup` has refused a node outside the region.
-            for child in _covered_children(self.id, query_bits):
+            for child in children:
                 try:
                     reply = self.transport.call(child, leg)
                 except RoutingFailure as exc:

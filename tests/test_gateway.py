@@ -115,6 +115,7 @@ def test_daemon_resolver_bad_url_is_gateway_error(base_url):
 def test_daemon_resolver_silent_daemon_times_out():
     silent = socket.socket()  # accepts connections into its backlog, never answers
     try:
+        silent.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)  # as `free_port_block` probes
         silent.bind(("127.0.0.1", free_port_block(1)))
         silent.listen(1)
         resolver = DaemonResolver(f"http://127.0.0.1:{silent.getsockname()[1]}", timeout=0.2)

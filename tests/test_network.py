@@ -70,6 +70,8 @@ def free_port_block(size):
             for offset in range(size):
                 s = socket.socket()
                 socks.append(s)  # before bind, so a failed bind's socket is closed too
+                # As a node server binds: a port in TIME_WAIT is not taken.
+                s.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 s.bind(("127.0.0.1", base + offset))
             for s in socks:
                 s.close()
@@ -101,6 +103,7 @@ def test_wire_addresses_follow_port_rule():
 def test_duplicate_port_raises_bootstrap_error():
     base = free_port_block(8)
     blocker = socket.socket()
+    blocker.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)  # as `free_port_block` probes
     blocker.bind(("127.0.0.1", base + 3))
     blocker.listen(1)
     threads = set(threading.enumerate())
@@ -1291,8 +1294,61 @@ def test_in_process_legs_share_no_objects(monkeypatch):
     assert arrived is not sent and arrived["visited"] is not sent["visited"]
     assert arrived["keywords"] is not sent["keywords"]
     assert sent["visited"] == ["011"] and arrived["visited"] == ["011", "111"]
-    assert received is not replied and received["visited"] is not replied["visited"]
-    assert received == replied
+    assert received is replied  # copied once, at the client, not at every hop
+
+
+CLIENT_ENTRIES = {  # each in-process client entry, called by `Network` with a start node
+    "client_insert": lambda net, start: net.insert("c", KEYS_AT_111, start=start),
+    "client_remove": lambda net, start: net.remove("c", KEYS_AT_111, start=start),
+    "client_pin": lambda net, start: net.pin_search(start, KEYS_AT_111),
+    "client_superset": lambda net, start: net.superset_search(start, KEYS_AT_111, 5),
+    "client_ping": lambda net, start: net.route(start, NodeId.parse("111")),
+}
+
+
+@pytest.mark.parametrize("start", ["111", "000"], ids=["0 hops", "3 hops"])
+@pytest.mark.parametrize("entry", CLIENT_ENTRIES)
+def test_in_process_client_replies_are_copied_once_at_the_client(entry, start, monkeypatch):
+    net = make_net(3)
+    node = net.nodes[NodeId.parse(start)]
+    returned, copies = [], []
+    call, copy = getattr(node, entry), network._copy
+
+    def spy_entry(*args):
+        returned.append(call(*args))
+        return returned[-1]
+
+    def spy_copy(value):
+        copies.append((value, copy(value)))
+        return copies[-1][1]
+
+    monkeypatch.setattr(node, entry, spy_entry)
+    monkeypatch.setattr(network, "_copy", spy_copy)
+    result = CLIENT_ENTRIES[entry](net, node.id)
+    [reply] = returned
+    [copied] = [out for value, out in copies if value is reply]
+    assert copied == reply
+    assert not {id(c) for c in containers(copied)} & {id(c) for c in containers(reply)}
+    if type(result) is dict:  # insert and remove return the reply itself
+        assert result is copied
+    # One copy per envelope per leg (node 111 is 0 or 3 legs away), and one of the reply.
+    assert len(copies) == hamming_distance(node.id, NodeId.parse("111")) + 1
+
+
+@pytest.mark.parametrize("start", ["111", "000"], ids=["0 hops", "3 hops"])
+def test_a_reply_json_cannot_carry_raises_type_error_in_process(start, monkeypatch):
+    net = make_net(3)
+    target = net.nodes[NodeId.parse("111")]
+    handle = target._handle
+
+    def bad_handle(env):
+        reply = handle(env)
+        reply["visited"] = [NodeId.parse(text) for text in reply["visited"]]  # not `str`s
+        return reply
+
+    monkeypatch.setattr(target, "_handle", bad_handle)
+    with pytest.raises(TypeError, match="NodeId"):
+        net.pin_search(NodeId.parse(start), KEYS_AT_111)
 
 
 # --- transport equivalence ------------------------------------------------------------
