@@ -3,27 +3,32 @@
 Every node listens on base_port + id value and answers /info, /insert,
 /remove, /pin and /superset; node-to-node forwarding uses
 POST /internal/forward. The same queries give the same answers as the
-in-process transport. The calls below go through the stdlib's
-`urllib.request`, a client independent of keycube's own.
+in-process transport. The calls below write each HTTP request by hand on
+a bare socket, a client independent of keycube's own.
 
 Run:  python demos/04_wire_protocol.py
 """
 
 import json
+import socket
 from urllib.parse import urlencode
-from urllib.request import Request, urlopen
 
 from keycube import NetworkConfig, build_network
 from keycube.network import TRANSPORT_WIRE
 
 
 def call(port, path, body=None):
-    """One request with the stdlib client; a body makes it a JSON POST."""
-    data = None if body is None else json.dumps(body).encode("utf-8")
-    request = Request(f"http://127.0.0.1:{port}{path}", data=data,
-                      headers={"Content-Type": "application/json"})
-    with urlopen(request, timeout=5) as resp:
-        return json.load(resp)
+    """One request on its own connection; a body makes it a JSON POST."""
+    data = b"" if body is None else json.dumps(body).encode("utf-8")
+    head = (f"{'GET' if body is None else 'POST'} {path} HTTP/1.1\r\n"
+            f"Host: 127.0.0.1:{port}\r\nConnection: close\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n\r\n")
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(head.encode("ascii") + data)
+        reply = b"".join(iter(lambda: sock.recv(65536), b""))  # the server closes after it
+    status_line, _, rest = reply.partition(b"\r\n")
+    assert status_line.split()[1] == b"200", status_line
+    return json.loads(rest.partition(b"\r\n\r\n")[2])
 
 
 BASE = 19300

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
-from statistics import fmean
 from typing import Iterable
 
 from .network import NetworkConfig, build_network, experiment_keywords, populate, random_keyset
@@ -141,7 +141,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
                             r, nodes, objects, op, index, start.text,
                             keywords.words, result.hops, len(result.cids)))
                     report.summaries.append(CellSummary(
-                        r, nodes, objects, op, fmean(hops), plan.queries_per_cell))
+                        r, nodes, objects, op, math.fsum(hops) / len(hops), plan.queries_per_cell))
     return report
 
 

@@ -4,13 +4,12 @@ Queries against the DHT return cids. When a resolver is attached the cids
 can be mapped to the underlying bytes as a post-processing step; the query
 itself is unchanged. Two implementations: an in-memory mock for tests and
 walkthroughs, and a client for a daemon exposing the conventional
-POST /api/v0/cat?arg=<cid> endpoint, on stdlib `http.client`.
+POST /api/v0/cat?arg=<cid> endpoint, on stdlib `http.client` (imported on first use).
 """
 
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 from typing import Iterable, Protocol
 from urllib.parse import urlencode, urlsplit
@@ -53,6 +52,7 @@ class DaemonResolver:
         self.timeout = timeout
 
     def resolve(self, cid: str) -> bytes:
+        import http.client  # it loads `ssl` and `email`: only on the first daemon resolve
         _check_cid(cid)
         try:
             url = urlsplit(self.base_url)

@@ -45,7 +45,6 @@ import time
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass
-from email.utils import formatdate
 from http import HTTPStatus
 from typing import Callable, Container, Iterable, Iterator
 from urllib.parse import parse_qs, urlencode, urlsplit
@@ -61,7 +60,7 @@ from .errors import (
     raise_from_payload,
 )
 from .node import NodeState, ObjectRecord
-from .query import ENVELOPE_FIELDS, LogicalNode, QueryResult
+from .query import _STR, ENVELOPE_FIELDS, LogicalNode, QueryResult
 from .topology import (
     HashFn,
     KeywordSet,
@@ -380,14 +379,20 @@ def _read_head(conn: _Connection) -> tuple[str, str, str, dict[str, str]] | None
 _STATUS_LINES = {status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
                  for status in HTTPStatus}
 _date = (0, "")  # (second, its HTTP-date), one tuple so that no thread sees half an update
+_DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 
 
 def _http_date() -> str:
+    """The current second as an HTTP-date, the bytes of `email.utils.formatdate(usegmt=True)`."""
     global _date
     second, text = _date
     now = int(time.time())
     if now != second:
-        text = formatdate(now, usegmt=True)
+        t = time.gmtime(now)
+        text = "%s, %02d %s %04d %02d:%02d:%02d GMT" % (
+            _DAYS[t.tm_wday], t.tm_mday, _MONTHS[t.tm_mon - 1], t.tm_year,
+            t.tm_hour, t.tm_min, t.tm_sec)
         _date = (now, text)
     return text
 
@@ -550,9 +555,6 @@ def _check_fields(body: dict, fields: dict[str, type]) -> dict:
 def _record(raw: bytes) -> tuple[str, KeywordSet]:
     body = _check_fields(_json_object(raw), {"cid": str, "keywords": list})
     return body["cid"], KeywordSet(body["keywords"])
-
-
-_STR = frozenset({str})
 
 
 def _envelope(raw: bytes, state: NodeState) -> dict:

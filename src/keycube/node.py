@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import NotInSupersetRegion, NotResponsible
+from .errors import DimensionMismatch, NotInSupersetRegion, NotResponsible
 from .topology import HashFn, KeywordSet, NodeId, keyword_bit, node_for_keywords
 
 
@@ -24,7 +24,7 @@ class ObjectRecord:
     keywords: KeywordSet
 
     def __post_init__(self):
-        if not isinstance(self.cid, str) or not self.cid:
+        if type(self.cid) is not str or not self.cid:
             raise ValueError(f"cid must be a non-empty string, got {self.cid!r}")
         object.__setattr__(self, "keywords", KeywordSet(self.keywords))
 
@@ -87,7 +87,11 @@ class NodeState:
         and carried by the walk. Deterministic selection: entries sorted by
         canonical keyword set, cids in byte order within an entry.
         """
-        if not self.id.covers(query_bits):
+        r, value = self.id
+        query_r, query_value = query_bits
+        if r != query_r:
+            raise DimensionMismatch(f"r={r} vs r={query_r}")
+        if value & query_value != query_value:
             raise NotInSupersetRegion(
                 f"node {self.id.text} is outside the superset region of {query_bits.text}"
             )

@@ -22,7 +22,9 @@ given; on the wire, the decode in `network` is the one ownership check: it
 checks that `target` has r bits and, where the op declares keywords, that
 it is their id. So a hop and a walk visit read `target` with the cached
 `topology._parse_id`, not `NodeId.parse`. An unknown op is refused by the
-wire decode, or in process by `_handle` at the envelope's target.
+wire decode, or in process by `_handle` at the envelope's target. A client
+reply is checked once, where `QueryResult.from_reply` reads it: one
+C-level exact-`str` pass over each of its lists, then `_parse_id` on each id.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ ENVELOPE_FIELDS: dict[str, dict[str, type]] = {
     "superset": {**_ROUTED_FIELDS, "limit": int},
     "superset_visit": {"target": str, "keywords": list, "limit": int, "collected": list},
 }
+_STR = frozenset({str})
 
 
 @dataclass(frozen=True)
@@ -70,11 +73,12 @@ class QueryResult:
         client cannot use.
         """
         cids, hops, visited = reply.get("cids"), reply.get("hops"), reply.get("visited")
-        if (type(cids) is not list or not all(type(cid) is str for cid in cids)
-                or type(hops) is not int or type(visited) is not list):
+        if (type(cids) is not list or not _STR.issuperset(map(type, cids))
+                or type(hops) is not int or type(visited) is not list
+                or not _STR.issuperset(map(type, visited))):
             raise RoutingFailure(f"not a query reply: {reply!r:.200}")
-        try:
-            return cls(tuple(cids), hops, tuple(map(NodeId.parse, visited)))
+        try:  # every entry is an exact str, as `_parse_id` needs
+            return cls(tuple(cids), hops, tuple(map(_parse_id, visited)))
         except ValueError as exc:
             raise RoutingFailure(f"not a query reply: {exc}") from None
 
@@ -211,9 +215,10 @@ class LogicalNode:
             leg = {"op": "superset_visit", "target": env["target"],
                    "keywords": env["keywords"], "limit": limit,
                    "collected": collected, "visited": []}
+            call = self.transport.call
             for child in children:
                 try:
-                    reply = self.transport.call(child, leg)
+                    reply = call(child, leg)
                 except RoutingFailure as exc:
                     exc.visited = visited + exc.visited  # the whole path walked
                     raise

@@ -14,13 +14,14 @@ An id is the tuple `(r, value)`, a `NodeId`, and keeps no cached text.
 Ids are validated where they enter: `NodeId(r, value)` and `NodeId.parse`.
 Ids derived from a valid id or r (`flip`, `next_hop`, the walk's children
 and `node_for_keywords`) are built by `tuple.__new__(NodeId, (r, value))`,
-which skips the type and range checks; `node_for_keywords` only
-range-checks the positions its hash returns.
+which skips the type and range checks; hot paths unpack an id's tuple.
 
-A keyword set is a `KeywordSet`: a tuple of its sorted, distinct words.
-Node tables are keyed and sorted by it, so its hashing and ordering are
-the tuple's own. `KeywordSet(ks)` returns `ks` itself, which makes the
-constructor the one conversion every entry point calls.
+A keyword set is a `KeywordSet`: a tuple of its sorted, distinct words,
+each an exact `str`. Node tables are keyed and sorted by it, so its
+hashing and ordering are the tuple's own. `KeywordSet(ks)` returns `ks`
+itself, which makes the constructor the one conversion every entry point
+calls. With its words and `r` checked, `node_for_keywords` hashes each
+word in line under the default hash and range-checks only a custom one.
 
 Each keyword's SHA-256 prefix and each parsed id are computed once and
 kept in bounded LRU caches, since keywords and id texts also arrive from
@@ -139,7 +140,7 @@ class KeywordSet(tuple):
             raise InvalidKeyword(f"keywords must be a collection, not the string {words!r}")
         words = tuple(words)  # a one-shot iterable is read once
         for w in words:  # every entry is checked before any is hashed
-            if not isinstance(w, str) or not w or "," in w:
+            if type(w) is not str or not w or "," in w:  # a str subclass is refused too
                 raise InvalidKeyword(f"keyword must be a non-empty string without ',', got {w!r}")
         return super().__new__(cls, sorted(set(words)))
 
@@ -210,6 +211,10 @@ def node_for_keywords(keywords: Iterable[str], r: int,
     check_dimension(r)
     keywords = KeywordSet(keywords)
     value = 0
+    if hash_fn is keyword_bit:  # the words and r are checked: hash each word in line
+        for word in keywords:
+            value |= 1 << _digest_prefix(word) % r
+        return tuple.__new__(NodeId, (r, value))
     for word in keywords:
         value |= 1 << hash_fn(word, r)  # a negative position raises ValueError here
     if value >> r:
@@ -235,12 +240,14 @@ def next_hop(current: NodeId, target: NodeId) -> NodeId:
     Moves exactly one step closer to the target, so iterating reaches it
     in exactly hamming_distance(current, target) steps.
     """
-    if current.r != target.r:
-        raise DimensionMismatch(f"r={current.r} vs r={target.r}")
-    diff = current.value ^ target.value
+    r, value = current
+    target_r, target_value = target
+    if r != target_r:
+        raise DimensionMismatch(f"r={r} vs r={target_r}")
+    diff = value ^ target_value
     if diff == 0:
         raise AlreadyAtTarget(f"already at {current.text}")
-    return tuple.__new__(NodeId, (current.r, current.value ^ (diff & -diff)))
+    return tuple.__new__(NodeId, (r, value ^ (diff & -diff)))
 
 
 def superset_children(node: NodeId, query: NodeId) -> list[NodeId]:
@@ -261,11 +268,16 @@ def superset_children(node: NodeId, query: NodeId) -> list[NodeId]:
 def _covered_children(node: NodeId, query: NodeId) -> list[NodeId]:
     """`superset_children` for a `node` the caller has already checked covers `query`."""
     r, value = node
-    free_set = value & ~query.value
-    ceiling = (free_set & -free_set).bit_length() - 1 if free_set else r
+    free_set = value & ~query[1]
+    ceiling = free_set & -free_set if free_set else 1 << r
     # `node` covers `query`, so a position clear in `node` is free.
-    return [tuple.__new__(NodeId, (r, value | 1 << i))
-            for i in range(ceiling) if not value >> i & 1]
+    clear = ~value & (ceiling - 1)
+    children = []
+    while clear:  # lowest position first
+        bit = clear & -clear
+        children.append(tuple.__new__(NodeId, (r, value | bit)))
+        clear ^= bit
+    return children
 
 
 def superset_region(query: NodeId) -> Iterator[NodeId]:

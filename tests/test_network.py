@@ -1363,6 +1363,11 @@ def twin_nets(wire_net):
 KEYS_AT_111 = [next(word for word in experiment_keywords(3) if keyword_bit(word, 3) == bit)
                for bit in range(3)]
 
+
+class _Str(str):
+    """A str subclass: refused as a keyword or cid on both transports."""
+
+
 # Each case fails at its own distance from the start node 000: on the
 # client (bare string, comma), at the start node (limit 0) or at the target.
 ERROR_CASES = {
@@ -1392,6 +1397,10 @@ ERROR_CASES = {
         5, KEYS_AT_111, start=NodeId.parse("000"))),
     "remove an int cid": (ValueError, lambda net: net.remove(
         5, KEYS_AT_111, start=NodeId.parse("000"))),
+    "str-subclass keyword": (InvalidKeyword, lambda net: net.pin_search(
+        NodeId.parse("000"), [_Str(KEYS_AT_111[0])])),
+    "str-subclass cid": (ValueError, lambda net: net.insert(
+        _Str("c"), KEYS_AT_111, start=NodeId.parse("000"))),
 }
 
 

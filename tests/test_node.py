@@ -1,6 +1,6 @@
 import pytest
 
-from keycube.errors import NotInSupersetRegion, NotResponsible
+from keycube.errors import DimensionMismatch, NotInSupersetRegion, NotResponsible
 from keycube.node import NodeState, ObjectRecord
 from keycube.topology import KeywordSet, NodeId, node_for_keywords
 
@@ -143,6 +143,21 @@ def test_superset_lookup_orders_entries_by_keyset():
 def test_superset_lookup_outside_region_rejected(rome_node):
     with pytest.raises(NotInSupersetRegion):
         superset_lookup(rome_node, ["Bologna"], 10)
+
+
+def test_superset_lookup_of_another_dimension_rejected(rome_node):
+    with pytest.raises(DimensionMismatch):
+        rome_node.superset_lookup(KeywordSet([]), NodeId.parse("001"), 10)
+
+
+class _Cid(str):
+    pass
+
+
+@pytest.mark.parametrize("cid", ["", 5, _Cid("cid-1")], ids=["empty", "int", "str subclass"])
+def test_record_rejects_a_cid_that_is_not_a_non_empty_string(cid):
+    with pytest.raises(ValueError):
+        ObjectRecord(cid, ["a"])
 
 
 def test_pin_subset_of_superset(wiki_net):

@@ -3,7 +3,8 @@
 A child interpreter makes `import requests` fail, then imports keycube,
 runs a small experiment through the CLI and a wire network through the
 client helpers. `requests` stays a test dependency only, as an independent
-client.
+client. A bare `import keycube` loads no stdlib stack that only a daemon
+resolve or nothing at all needs.
 """
 
 import subprocess
@@ -53,3 +54,21 @@ def test_runs_with_requests_blocked(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("ok\n")
     assert (tmp_path / "grid.csv").exists()
+
+
+IMPORT_ONLY = r"""
+import sys
+
+before = set(sys.modules)
+import keycube
+
+heavy = {"email", "http.client", "ssl", "statistics", "decimal"}
+print(sorted(heavy & (set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_unused_stdlib_stack():
+    proc = subprocess.run([sys.executable, "-c", IMPORT_ONLY],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

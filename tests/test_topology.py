@@ -19,6 +19,7 @@ from keycube.node import NodeState, ObjectRecord
 from keycube.topology import (
     KeywordSet,
     NodeId,
+    TableHash,
     hamming_distance,
     keyword_bit,
     neighbors,
@@ -119,7 +120,12 @@ def test_keyword_set_of_a_keyword_set_is_itself():
     assert KeywordSet(ks) is ks
 
 
-@pytest.mark.parametrize("words", [[["a"]], ["a", 1]], ids=["unhashable", "not a string"])
+class _Word(str):
+    """Not a keyword: the in-process copy refuses it, and the wire would send a plain str."""
+
+
+@pytest.mark.parametrize("words", [[["a"]], ["a", 1], [_Word("a")]],
+                         ids=["unhashable", "not a string", "str subclass"])
 def test_keyword_set_rejects_an_entry_that_is_not_a_string(words):
     with pytest.raises(InvalidKeyword):
         KeywordSet(words)
@@ -257,6 +263,22 @@ def test_colliding_keywords_share_one_bit():
 def test_popcount_bounded_by_set_size_and_r(words, r):
     nid = node_for_keywords(words, r)
     assert nid.popcount <= min(len(words), r)
+
+
+@given(st.frozensets(keywords_st, max_size=10), st.integers(1, 32))
+def test_default_hash_equals_the_generic_path(words, r):
+    # An empty table falls through to `keyword_bit` word by word.
+    assert node_for_keywords(words, r) == node_for_keywords(words, r, TableHash({}))
+
+
+@given(st.frozensets(keywords_st, min_size=1, max_size=6), st.integers(1, 32),
+       st.sampled_from(["r", "-1"]))
+def test_a_custom_hash_out_of_range_is_value_error(words, r, bad):
+    bad_word = min(words)
+    position = r if bad == "r" else -1
+    hash_fn = lambda word, r: position if word == bad_word else keyword_bit(word, r)
+    with pytest.raises(ValueError):
+        node_for_keywords(words, r, hash_fn)
 
 
 @given(st.frozensets(keywords_st, max_size=8),
