@@ -28,7 +28,6 @@ from .topology import (
     neighbors,
     next_hop,
     node_for_keywords,
-    superset_children,
     superset_region,
     table_hash,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "populate",
     "run_experiment",
     "run_scenario",
-    "superset_children",
     "superset_region",
     "table_hash",
     "__version__",

@@ -37,12 +37,10 @@ from .gateway import DaemonResolver, resolve_all
 from .network import (
     TRANSPORT_WIRE,
     NetworkConfig,
+    NodeClient,
     WireTransport,
     build_network,
     start_node_server,
-    wire_insert,
-    wire_pin,
-    wire_superset,
 )
 from .node import NodeState
 from .query import LogicalNode, QueryResult
@@ -168,14 +166,14 @@ def cmd_insert(args, parser) -> int:
     keywords = _parse_keywords(parser, args.keywords)
     if not args.cid:
         parser.error("--cid must not be empty")
-    reply = wire_insert(args.target, args.cid, keywords)
+    reply = NodeClient(args.target).client_insert(args.cid, keywords)
     print(json.dumps(reply))
     return 0
 
 
 def cmd_pin(args, parser) -> int:
     keywords = _parse_keywords(parser, args.keywords)
-    reply = wire_pin(args.target, keywords)
+    reply = NodeClient(args.target).client_pin(keywords)
     cids = QueryResult.from_reply(reply).cids  # a reply of another shape is a transport error
     if args.resolver_url:
         pairs = resolve_all(cids, DaemonResolver(args.resolver_url))
@@ -189,7 +187,7 @@ def cmd_superset(args, parser) -> int:
     keywords = _parse_keywords(parser, args.keywords)
     if args.limit < 1:
         parser.error(f"--limit must be >= 1, got {args.limit}")
-    reply = wire_superset(args.target, keywords, args.limit)
+    reply = NodeClient(args.target).client_superset(keywords, args.limit)
     QueryResult.from_reply(reply)  # a reply of another shape is a transport error
     print(json.dumps(reply))
     return 0

@@ -7,6 +7,10 @@ no mutable object, so both transports move the same payloads; results are
 identical by construction, not by luck. The wire transport gives every
 logical node an HTTP listener on its own OS port, and one thread accepts for
 all of a network's listeners; legs between nodes are POST /internal/forward.
+The two halves of the format sit side by side: `_ROUTES` turns each request
+into a `LogicalNode` call, and `NodeClient`, the client half, sends each
+such call as that request. A wire `Network`, and the CLI, call a node
+through its `NodeClient` with the method names they would call in process.
 
 Every node-to-node leg and every client call goes through `_exchange`,
 which keeps idle sockets in one pool per (host, port), sends each request
@@ -306,8 +310,6 @@ class _NodeServer:
             self.closed = True
         self.hand_back(self)  # before the close, so the loop never sees its fd reused
         self.socket.close()
-
-    server_close = shutdown
 
 
 class _BadHead(Exception):
@@ -623,6 +625,47 @@ _ROUTES = {
 }
 
 
+class NodeClient:
+    """The client half of the wire format, for the node at `address`.
+
+    `address` is a base URL such as `http://127.0.0.1:9000`. Each method
+    sends the request that `_ROUTES` turns back into the `LogicalNode`
+    method of the same name, and returns the reply's JSON object. A bad
+    address raises `RoutingFailure` when a request is to be sent.
+    """
+
+    def __init__(self, address: str):
+        self.address = address
+
+    def info(self) -> dict:
+        return self._send("GET", "/info")
+
+    def client_insert(self, cid: str, keywords: KeywordSet) -> dict:
+        return self._send("POST", "/insert", {"cid": cid, "keywords": list(keywords)})
+
+    def client_remove(self, cid: str, keywords: KeywordSet) -> dict:
+        return self._send("POST", "/remove", {"cid": cid, "keywords": list(keywords)})
+
+    def client_pin(self, keywords: KeywordSet) -> dict:
+        return self._send("GET", "/pin?" + urlencode({"keywords": ",".join(keywords)}))
+
+    def client_superset(self, keywords: KeywordSet, limit: int) -> dict:
+        if type(limit) is not int:  # its text would be read as some other limit, or refused
+            raise ValueError(f"superset limit must be an integer, got {limit!r}")
+        query = urlencode({"keywords": ",".join(keywords), "limit": str(limit)})
+        return self._send("GET", "/superset?" + query)
+
+    def _send(self, method: str, path: str, body: dict | None = None) -> dict:
+        try:
+            url = urlsplit(self.address)
+            host, port = url.hostname, url.port
+        except ValueError as exc:  # a port that is not a number or out of range
+            raise RoutingFailure(f"bad node address {self.address!r}: {exc}") from None
+        if url.scheme != "http" or not host or not host.isascii() or port == 0:
+            raise RoutingFailure(f"bad node address {self.address!r}: expected http://host:port")
+        return _exchange(host, 80 if port is None else port, method, path, body)
+
+
 def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
                       ) -> tuple[list[_NodeServer], Callable[[], None]]:
     """Bind every node's wire address, then accept for them all on one thread.
@@ -746,9 +789,10 @@ def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
 class Network:
     """Handle over all 2**r logical nodes plus the client-side API.
 
-    In wire mode the client API goes through the nodes' public HTTP
-    endpoints, so a query observed here exercises the same code path an
-    external client would.
+    Each client call goes to the start node's entry in `_entries`: the
+    `LogicalNode` itself in process, or its `NodeClient` on the wire, so a
+    query observed here exercises the same code path an external client
+    would. Either way `_call` copies the reply once.
     """
 
     def __init__(self, cfg: NetworkConfig, nodes: dict[NodeId, LogicalNode],
@@ -758,47 +802,43 @@ class Network:
         self.nodes = nodes
         self.servers = servers or []
         self._stop_servers = stop_servers
+        self._entries: dict[NodeId, LogicalNode | NodeClient] = nodes
+        if cfg.transport == TRANSPORT_WIRE:  # every id, as a wire network's nodes may be remote
+            ids = (NodeId(cfg.r, value) for value in range(1 << cfg.r))
+            self._entries = {node: NodeClient(cfg.address_of(node)) for node in ids}
 
     # -- client API ---------------------------------------------------------
 
     def insert(self, cid: str, keywords, start: NodeId | None = None) -> dict:
-        keywords, start = KeywordSet(keywords), self._entry(start)
+        keywords, start = KeywordSet(keywords), self._start(start)
         if type(cid) is not str:  # refused before any leg; the target checks the rest
             raise ValueError(f"cid must be a string, got {cid!r}")
-        if self.cfg.transport == TRANSPORT_WIRE:
-            return wire_insert(self.cfg.address_of(start), cid, keywords)
-        return self._in_process(start, "client_insert", cid, keywords)
+        return self._call(start, "client_insert", cid, keywords)
 
     def remove(self, cid: str, keywords, start: NodeId | None = None) -> dict:
-        keywords, start = KeywordSet(keywords), self._entry(start)
+        keywords, start = KeywordSet(keywords), self._start(start)
         if type(cid) is not str:
             raise ValueError(f"cid must be a string, got {cid!r}")
-        if self.cfg.transport == TRANSPORT_WIRE:
-            return wire_remove(self.cfg.address_of(start), cid, keywords)
-        return self._in_process(start, "client_remove", cid, keywords)
+        return self._call(start, "client_remove", cid, keywords)
 
     def pin_search(self, start: NodeId, keywords) -> QueryResult:
-        keywords, start = KeywordSet(keywords), self._entry(start)
-        if self.cfg.transport == TRANSPORT_WIRE:
-            return QueryResult.from_reply(wire_pin(self.cfg.address_of(start), keywords))
-        return QueryResult.from_reply(self._in_process(start, "client_pin", keywords))
+        keywords, start = KeywordSet(keywords), self._start(start)
+        return QueryResult.from_reply(self._call(start, "client_pin", keywords))
 
     def superset_search(self, start: NodeId, keywords, limit: int) -> QueryResult:
-        keywords, start = KeywordSet(keywords), self._entry(start)
-        if self.cfg.transport == TRANSPORT_WIRE:
-            reply = wire_superset(self.cfg.address_of(start), keywords, limit)
-            return QueryResult.from_reply(reply)
-        return QueryResult.from_reply(self._in_process(start, "client_superset", keywords, limit))
+        keywords, start = KeywordSet(keywords), self._start(start)
+        return QueryResult.from_reply(self._call(start, "client_superset", keywords, limit))
 
     def route(self, start: NodeId, target: NodeId) -> QueryResult:
         """Deliver a ping from start to target; measures pure routing cost."""
-        reply = self._in_process(self._entry(start), "client_ping", target)
+        # Entered in process on either transport, as no route serves a ping; legs are the same.
+        reply = _copy(self.nodes[self._start(start)].client_ping(target))
         return QueryResult((), reply["hops"], tuple(map(NodeId.parse, reply["visited"])))
 
-    def _in_process(self, start: NodeId, entry: str, *args) -> dict:
-        return _copy(getattr(self.nodes[start], entry)(*args))  # the one copy of a reply
+    def _call(self, start: NodeId, entry: str, *args) -> dict:
+        return _copy(getattr(self._entries[start], entry)(*args))  # the one copy of a reply
 
-    def _entry(self, start: NodeId | None) -> NodeId:
+    def _start(self, start: NodeId | None) -> NodeId:
         """`start`, or node 0 when None; a start of another r is refused on either transport."""
         if start is None:
             return NodeId(self.cfg.r, 0)
@@ -841,43 +881,6 @@ def build_network(cfg: NetworkConfig) -> Network:
     if not wire:
         return Network(cfg, nodes)
     return Network(cfg, nodes, *start_node_server(cfg, nodes.values()))
-
-
-# -- wire client helpers -----------------------------------------------------
-
-def wire_info(address: str) -> dict:
-    return _client_call(address, "GET", "/info")
-
-
-def wire_insert(address: str, cid: str, keywords: KeywordSet) -> dict:
-    return _client_call(address, "POST", "/insert", {"cid": cid, "keywords": list(keywords)})
-
-
-def wire_remove(address: str, cid: str, keywords: KeywordSet) -> dict:
-    return _client_call(address, "POST", "/remove", {"cid": cid, "keywords": list(keywords)})
-
-
-def wire_pin(address: str, keywords: KeywordSet) -> dict:
-    return _client_call(address, "GET", "/pin?" + urlencode({"keywords": ",".join(keywords)}))
-
-
-def wire_superset(address: str, keywords: KeywordSet, limit: int) -> dict:
-    if type(limit) is not int:  # its text would be read as some other limit, or refused
-        raise ValueError(f"superset limit must be an integer, got {limit!r}")
-    query = urlencode({"keywords": ",".join(keywords), "limit": str(limit)})
-    return _client_call(address, "GET", "/superset?" + query)
-
-
-def _client_call(address: str, method: str, path: str, body: dict | None = None) -> dict:
-    """`_exchange` with the node at `address`, a base URL such as `http://127.0.0.1:9000`."""
-    try:
-        url = urlsplit(address)
-        host, port = url.hostname, url.port or 80
-    except ValueError as exc:  # a port that is not a number or out of range
-        raise RoutingFailure(f"bad node address {address!r}: {exc}") from None
-    if url.scheme != "http" or not host or not host.isascii():
-        raise RoutingFailure(f"bad node address {address!r}: expected http://host:port")
-    return _exchange(host, port, method, path, body)
 
 
 # -- population ----------------------------------------------------------------

@@ -40,7 +40,6 @@ from .errors import (
     AlreadyAtTarget,
     DimensionMismatch,
     InvalidKeyword,
-    NotInSupersetRegion,
 )
 
 MAX_DIMENSION = 32
@@ -250,7 +249,7 @@ def next_hop(current: NodeId, target: NodeId) -> NodeId:
     return tuple.__new__(NodeId, (r, value ^ (diff & -diff)))
 
 
-def superset_children(node: NodeId, query: NodeId) -> list[NodeId]:
+def _covered_children(node: NodeId, query: NodeId) -> list[NodeId]:
     """Children of `node` in the spanning tree over bit-supersets of `query`.
 
     Positions not set in the query are free. A child sets one more free
@@ -258,15 +257,8 @@ def superset_children(node: NodeId, query: NodeId) -> list[NodeId]:
     already set in `node` (all free positions when it has none). Walking
     the tree from the query id itself visits every bit-superset exactly
     once: the free bits of any superset must be added in descending order,
-    which is a unique path.
+    which is a unique path. The caller has checked that `node` covers `query`.
     """
-    if not node.covers(query):
-        raise NotInSupersetRegion(f"{node.text} is not a bit-superset of {query.text}")
-    return _covered_children(node, query)
-
-
-def _covered_children(node: NodeId, query: NodeId) -> list[NodeId]:
-    """`superset_children` for a `node` the caller has already checked covers `query`."""
     r, value = node
     free_set = value & ~query[1]
     ceiling = free_set & -free_set if free_set else 1 << r
@@ -281,9 +273,12 @@ def _covered_children(node: NodeId, query: NodeId) -> list[NodeId]:
 
 
 def superset_region(query: NodeId) -> Iterator[NodeId]:
-    """All bit-supersets of `query`, in spanning tree depth-first order."""
+    """All bit-supersets of `query`, in spanning tree depth-first order.
+
+    Every node the walk reaches covers `query` by construction.
+    """
     stack = [query]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(superset_children(node, query)))
+        stack.extend(reversed(_covered_children(node, query)))

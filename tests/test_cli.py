@@ -12,7 +12,7 @@ import pytest
 from keycube import cli
 from keycube.cli import main
 from keycube.errors import ContentNotFound, RoutingFailure
-from keycube.network import TRANSPORT_WIRE, NetworkConfig, build_network, wire_info
+from keycube.network import TRANSPORT_WIRE, NetworkConfig, NodeClient, build_network
 from keycube.topology import NodeId, node_for_keywords
 
 from conftest import child_env
@@ -106,7 +106,6 @@ def test_failed_leg_behind_the_entry_node_exits_3(capsys):
     try:
         dead = net.servers.pop(down.value)
         dead.shutdown()
-        dead.server_close()
         code = main(["pin", "--target", url(base), "--keywords", word])  # entry node 00
     finally:
         net.close()
@@ -351,7 +350,7 @@ def test_serve_all_hosts_every_node():
                 if offset in infos:
                     continue
                 try:
-                    infos[offset] = wire_info(url(base, offset))
+                    infos[offset] = NodeClient(url(base, offset)).info()
                 except RoutingFailure:
                     time.sleep(0.1)
         assert len(infos) == 4
@@ -371,7 +370,7 @@ def test_serve_single_node():
         info = None
         while time.time() < deadline and info is None:
             try:
-                info = wire_info(url(base, 2))
+                info = NodeClient(url(base, 2)).info()
             except RoutingFailure:
                 time.sleep(0.1)
         assert info == {"id": "010", "r": 3, "neighbors": ["000", "110", "011"]}

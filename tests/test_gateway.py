@@ -71,7 +71,7 @@ def stub_daemon():
     thread.start()
     yield server
     server.shutdown()
-    server.server_close()
+    server.socket.close()  # all that `HTTPServer`'s own close does
     thread.join(timeout=5)
     assert not thread.is_alive()
 

@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 from http import HTTPStatus
 from types import SimpleNamespace
-from urllib.parse import urlencode
+from urllib.parse import parse_qs, urlencode, urlsplit
 
 import pytest
 import requests
@@ -25,6 +25,7 @@ from keycube.errors import (
     InternalError,
     InvalidKeyword,
     KeycubeError,
+    NotInSupersetRegion,
     NotResponsible,
     RoutingFailure,
 )
@@ -34,6 +35,7 @@ from keycube.network import (
     WIRE_TIMEOUT,
     Network,
     NetworkConfig,
+    NodeClient,
     WireTransport,
     _close_pooled,
     _copy,
@@ -43,11 +45,6 @@ from keycube.network import (
     build_network,
     experiment_keywords,
     populate,
-    wire_info,
-    wire_insert,
-    wire_pin,
-    wire_remove,
-    wire_superset,
 )
 from keycube.query import ENVELOPE_FIELDS
 from keycube.topology import (
@@ -147,7 +144,7 @@ def test_close_stops_all_servers_at_once():
     assert time.perf_counter() - start < 0.25  # no poll interval to wait out
     for address in addresses:
         with pytest.raises(RoutingFailure):
-            wire_info(address)
+            NodeClient(address).info()
 
 
 def test_close_after_servers_were_shut_down():
@@ -182,7 +179,7 @@ def test_parallel_shutdowns_return_at_once():
     assert not any(stopper.is_alive() for stopper in stoppers)
     for address in addresses:  # no node accepts any more
         with pytest.raises(RoutingFailure):
-            wire_info(address)
+            NodeClient(address).info()
     net.close()
     assert net.servers == []
 
@@ -261,7 +258,7 @@ def addr(net, text):
 
 
 def test_info_endpoint(wire_net):
-    info = wire_info(addr(wire_net, "010"))
+    info = NodeClient(addr(wire_net, "010")).info()
     assert info["id"] == "010"
     assert info["r"] == 3
     assert len(info["neighbors"]) == 3
@@ -273,13 +270,14 @@ def test_insert_routes_to_responsible_node(wire_net):
     owner = node_for_keywords(keywords, 3)
     reply = wire_net.insert("cid-wire-1", keywords, start=NodeId.parse("111"))
     assert reply == {"status": "stored", "node": owner.text}
-    found = wire_pin(addr(wire_net, "000"), keywords)
+    found = NodeClient(addr(wire_net, "000")).client_pin(keywords)
     assert found["cids"] == ["cid-wire-1"]
-    wire_remove(addr(wire_net, "000"), "cid-wire-1", keywords)
+    NodeClient(addr(wire_net, "000")).client_remove("cid-wire-1", keywords)
 
 
 def test_remove_reports_not_found(wire_net):
-    reply = wire_remove(addr(wire_net, "000"), "cid-ghost", KeywordSet(["kw0000"]))
+    ghost = KeywordSet(["kw0000"])
+    reply = NodeClient(addr(wire_net, "000")).client_remove("cid-ghost", ghost)
     assert reply["status"] == "not_found"
 
 
@@ -288,7 +286,7 @@ def test_superset_endpoint_respects_limit(wire_net):
     keywords = KeywordSet([universe[5]])
     for i in range(4):
         wire_net.insert(f"cid-sup-{i}", keywords)
-    reply = wire_superset(addr(wire_net, "011"), keywords, 2)
+    reply = NodeClient(addr(wire_net, "011")).client_superset(keywords, 2)
     assert len(reply["cids"]) == 2
     for i in range(4):
         wire_net.remove(f"cid-sup-{i}", keywords)
@@ -566,7 +564,7 @@ def test_post_to_an_unknown_path_has_its_body_read_and_keeps_its_connection(wire
                % (len(HIDDEN), HIDDEN)) + LAST_INFO
     replies = replies_until_closed(wire_net.cfg.base_port, request)
     assert replies == [(b"HTTP/1.1 404 Not Found", {"error": "NotFound", "detail": "/nope"}),
-                       (b"HTTP/1.1 200 OK", wire_info(addr(wire_net, "000")))]
+                       (b"HTTP/1.1 200 OK", NodeClient(addr(wire_net, "000")).info())]
 
 
 def test_unparsable_request_target_gets_a_400_reply(wire_net):
@@ -767,6 +765,47 @@ def test_envelope_at_full_budget_is_accepted(wire_net):
     assert resp.json()["hops"] == 3
 
 
+def keys_at(node):
+    """Words whose id is `node`: one of `KEYS_AT_111` per set bit."""
+    return [word for bit, word in enumerate(KEYS_AT_111) if node.value >> bit & 1]
+
+
+def test_routed_ops_and_walk_legs_keep_within_the_hop_budget(wire_net):
+    """At r=3, sent to any node with nothing visited: a routed op takes at most r
+    hops, and a walk leg from any node of a region visits at most its 2**(r - |q|)
+    nodes. Nodes outside the region refuse the leg."""
+    r = 3
+    ids = [NodeId(r, value) for value in range(1 << r)]
+
+    def send(node, env):
+        return _exchange("127.0.0.1", wire_net.cfg.port_of(node), "POST",
+                         "/internal/forward", env)
+
+    for start in ids:
+        for target in ids:
+            distance = hamming_distance(start, target)
+            routed = {"target": target.text, "keywords": keys_at(target), "visited": []}
+            ping = send(start, {"op": "ping", "target": target.text, "visited": []})
+            pin = send(start, {"op": "pin", **routed})
+            assert ping["hops"] == pin["hops"] == distance <= r
+            walk = send(start, {"op": "superset", "limit": 10**6, **routed})["visited"]
+            assert walk.index(target.text) == distance <= r
+            assert len(walk) - distance == 2 ** (r - bin(target.value).count("1"))
+            for op in ("insert", "remove"):
+                reply = send(start, {"op": op, "cid": "cid-budget", **routed})
+                assert reply["node"] == target.text
+    for q in ids:
+        region = set(superset_region(q))
+        leg = {"op": "superset_visit", "target": q.text, "keywords": keys_at(q),
+               "limit": 10**6, "collected": [], "visited": []}
+        for node in ids:
+            if node in region:
+                assert len(send(node, leg)["visited"]) <= 2 ** (r - bin(q.value).count("1"))
+            else:
+                with pytest.raises(NotInSupersetRegion):
+                    send(node, leg)
+
+
 def test_superset_leg_failure_reports_the_whole_path():
     base = free_port_block(8)
     net = build_network(NetworkConfig(r=3, transport=TRANSPORT_WIRE, base_port=base))
@@ -774,7 +813,6 @@ def test_superset_leg_failure_reports_the_whole_path():
         order = list(superset_region(NodeId.parse("000")))
         dead = net.servers.pop(order[3].value)
         dead.shutdown()
-        dead.server_close()
         with pytest.raises(RoutingFailure) as info:
             net.superset_search(NodeId.parse("000"), [], 10**6)
         assert info.value.visited == [n.text for n in order[:3]]
@@ -846,10 +884,10 @@ def test_forward_leg_sends_the_envelope_as_json():
     assert "connection" not in node.headers  # HTTP/1.1: the connection stays open
 
 
-def test_wire_insert_sends_the_record_as_json():
+def test_node_client_insert_sends_the_record_as_json():
     keywords = KeywordSet(["lake", "é", "a b"])
     with StandInNode(b'{"status": "stored", "node": "0"}') as node:
-        assert wire_insert(node.address, "cid-ü", keywords)["status"] == "stored"
+        assert NodeClient(node.address).client_insert("cid-ü", keywords)["status"] == "stored"
     assert node.request_line == "POST /insert HTTP/1.1"
     assert node.body_sent == json.dumps({"cid": "cid-ü", "keywords": list(keywords)}).encode()
 
@@ -858,8 +896,8 @@ def test_pin_and_superset_send_urlencoded_queries():
     keywords = KeywordSet(["a b", "café", "x&y=1"])
     reply = b'{"cids": [], "hops": 0, "visited": []}'
     with StandInNode(reply) as pin, StandInNode(reply) as superset:
-        wire_pin(pin.address, keywords)
-        wire_superset(superset.address, keywords, 7)
+        NodeClient(pin.address).client_pin(keywords)
+        NodeClient(superset.address).client_superset(keywords, 7)
     query = urlencode({"keywords": ",".join(keywords)})
     assert pin.request_line == f"GET /pin?{query} HTTP/1.1"
     query = urlencode({"keywords": ",".join(keywords), "limit": "7"})
@@ -869,7 +907,7 @@ def test_pin_and_superset_send_urlencoded_queries():
 def test_reply_that_is_not_json_is_a_routing_failure():
     with StandInNode(b"<html>") as node:
         with pytest.raises(RoutingFailure, match="/pin"):
-            wire_pin(node.address, KeywordSet(["a"]))
+            NodeClient(node.address).client_pin(KeywordSet(["a"]))
 
 
 # Replies the client cannot use: each is a RoutingFailure carrying the path.
@@ -899,7 +937,7 @@ def test_routing_failure_reply_is_reraised_with_its_path():
                        "visited": ["00", "01"]}).encode()
     with StandInNode(raw=http_reply(body, "502 Bad Gateway")) as node:
         with pytest.raises(RoutingFailure, match="leg to 11 failed") as info:
-            wire_pin(node.address, KeywordSet(["a"]))
+            NodeClient(node.address).client_pin(KeywordSet(["a"]))
     assert info.value.visited == ["00", "01"]
 
 
@@ -945,15 +983,54 @@ def test_pin_search_on_a_closed_wire_network_is_a_routing_failure():
 
 
 @pytest.mark.parametrize("address", ["127.0.0.1:9000", "ftp://127.0.0.1:9000",
-                                     "http://127.0.0.1:port", "http://bücher:9000"])
+                                     "http://127.0.0.1:port", "http://bücher:9000",
+                                     "http://127.0.0.1:0"])
 def test_bad_node_address_is_a_routing_failure(address):
     with pytest.raises(RoutingFailure, match="bad node address"):
-        wire_pin(address, KeywordSet(["a"]))
+        NodeClient(address).client_pin(KeywordSet(["a"]))
 
 
-def test_wire_info_bad_address_is_routing_failure():
+def test_node_client_info_bad_address_is_routing_failure():
     with pytest.raises(RoutingFailure, match="bad node address"):
-        wire_info("ftp://x")
+        NodeClient("ftp://x").info()
+
+
+def test_node_address_without_a_port_means_port_80(monkeypatch):
+    sent = []
+    monkeypatch.setattr(network, "_exchange", lambda *request: sent.append(request[:2]) or {})
+    NodeClient("http://127.0.0.1").info()
+    assert sent == [("127.0.0.1", 80)]
+
+
+class RecordingNode:
+    """Stands in for a `LogicalNode`: records each method a route calls, with its arguments."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return lambda *args: self.calls.append((name, args)) or {}
+
+
+@pytest.mark.parametrize("route", sorted(set(network._ROUTES) - {("POST", "/internal/forward")}),
+                         ids=" ".join)
+def test_node_client_sends_the_route_of_each_node_method(route):
+    """The two halves of the wire format agree: for each client route, `NodeClient` has
+    the `LogicalNode` method the route calls, and that method sends the route's request,
+    which the route decodes back into the same call."""
+    node = RecordingNode()
+    body = json.dumps({"cid": "cid-ü", "keywords": ["a b", "café"]}).encode()
+    network._ROUTES[route](node, {"keywords": ["a b,café"], "limit": ["3"]}, body)
+    [(name, args)] = node.calls
+    assert callable(getattr(NodeClient, name, None)), name
+    with StandInNode(b"{}") as stand_in:
+        getattr(NodeClient(stand_in.address), name)(*args)
+    method, target, _ = stand_in.request_line.split(" ")
+    url = urlsplit(target)
+    assert (method, url.path) == route
+    decoded = RecordingNode()
+    network._ROUTES[route](decoded, parse_qs(url.query), stand_in.body_sent or b"{}")
+    assert decoded.calls == node.calls
 
 
 # --- keep-alive: the client's pool and the parked connections ------------------------
@@ -990,11 +1067,11 @@ def test_a_pooled_socket_the_node_expired_is_replaced(monkeypatch):
     base = free_port_block(2)
     with build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base)) as net:
         address = net.cfg.address_of(NodeId(1, 0))
-        wire_info(address)
+        NodeClient(address).info()
         [expired] = _POOL[("127.0.0.1", base)]
         time.sleep(0.5)  # parked for longer than the timeout: the node closes it
         assert expired.recv(1, socket.MSG_PEEK) == b""
-        assert wire_info(address)["id"] == "0"
+        assert NodeClient(address).info()["id"] == "0"
         assert expired.fileno() == -1  # closed, not used
         assert pooled(net) == 1
 
@@ -1076,7 +1153,7 @@ def test_a_shut_down_node_answers_no_later_leg():
             net.pin_search(NodeId.parse("00"), words)
         assert info.value.visited == [node.text for node in path[:-1]]
         with pytest.raises(RoutingFailure):
-            wire_info(net.cfg.address_of(NodeId.parse("11")))
+            NodeClient(net.cfg.address_of(NodeId.parse("11"))).info()
 
 
 def test_concurrent_clients_leave_no_handler_thread():
@@ -1134,7 +1211,7 @@ def test_a_handler_thread_that_cannot_start_costs_one_connection(monkeypatch, ca
     base = free_port_block(2)
     with build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base)) as net:
         address = net.cfg.address_of(NodeId(1, 0))
-        wire_info(address)  # leaves a pooled socket, parked at the node
+        NodeClient(address).info()  # leaves a pooled socket, parked at the node
         failed = []
         start = threading.Thread.start
 
@@ -1145,10 +1222,11 @@ def test_a_handler_thread_that_cannot_start_costs_one_connection(monkeypatch, ca
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", start_failing_once)
-        assert wire_info(address)["id"] == "0"  # the parked connection was closed: retried
+        # The parked connection was closed: retried.
+        assert NodeClient(address).info()["id"] == "0"
         assert len(failed) == 1
         assert "keycube-accept" in [thread.name for thread in threading.enumerate()]
-        assert wire_info(net.cfg.address_of(NodeId(1, 1)))["id"] == "1"
+        assert NodeClient(net.cfg.address_of(NodeId(1, 1))).info()["id"] == "1"
     assert "cannot serve a connection" in caplog.text
 
 

@@ -1,8 +1,8 @@
 """The program runs on the standard library alone.
 
 A child interpreter makes `import requests` fail, then imports keycube,
-runs a small experiment through the CLI and a wire network through the
-client helpers. `requests` stays a test dependency only, as an independent
+runs a small experiment through the CLI and a wire network through
+`NodeClient`. `requests` stays a test dependency only, as an independent
 client. A bare `import keycube` loads no stdlib stack that only a daemon
 resolve or nothing at all needs.
 """
@@ -21,8 +21,8 @@ sys.modules["requests"] = None  # any `import requests` now raises ImportError
 
 import keycube
 from keycube import cli
-from keycube.network import (TRANSPORT_WIRE, NetworkConfig, build_network,
-                             experiment_keywords, wire_info, wire_insert, wire_pin)
+from keycube.network import (TRANSPORT_WIRE, NetworkConfig, NodeClient, build_network,
+                             experiment_keywords)
 from keycube.topology import KeywordSet, NodeId
 
 out, base = sys.argv[1], int(sys.argv[2])
@@ -32,10 +32,11 @@ assert cli.main(["experiment", "--nodes", "8", "--objects", "10",
 cfg = NetworkConfig(r=2, transport=TRANSPORT_WIRE, base_port=base)
 with build_network(cfg):
     address = cfg.address_of(NodeId(2, 3))
-    assert wire_info(address)["id"] == "11"
+    assert NodeClient(address).info()["id"] == "11"
     words = KeywordSet(experiment_keywords(2)[:2])
-    assert wire_insert(address, "cid-stdlib", words)["status"] == "stored"
-    assert wire_pin(cfg.address_of(NodeId(2, 0)), words)["cids"] == ["cid-stdlib"]
+    assert NodeClient(address).client_insert("cid-stdlib", words)["status"] == "stored"
+    entry = NodeClient(cfg.address_of(NodeId(2, 0)))
+    assert entry.client_pin(words)["cids"] == ["cid-stdlib"]
 assert "http.server" not in sys.modules  # the node server is a plain listener
 assert "socketserver" not in sys.modules
 

@@ -12,7 +12,6 @@ from keycube.errors import (
     AlreadyAtTarget,
     DimensionMismatch,
     InvalidKeyword,
-    NotInSupersetRegion,
 )
 from keycube import topology
 from keycube.node import NodeState, ObjectRecord
@@ -24,8 +23,8 @@ from keycube.topology import (
     keyword_bit,
     neighbors,
     next_hop,
+    _covered_children,
     node_for_keywords,
-    superset_children,
     superset_region,
 )
 
@@ -371,27 +370,22 @@ def test_greedy_walk_length_is_hamming_everywhere(r):
         assert steps == hamming_distance(a, b)
 
 
-# --- superset_children -------------------------------------------------------------
+# --- _covered_children --------------------------------------------------------------
 
 def test_full_node_has_no_children():
     full = NodeId.parse("111111")
-    assert superset_children(full, full) == []
+    assert _covered_children(full, full) == []
 
 
 def test_children_of_empty_query_root():
     root = NodeId.parse("0000")
-    kids = superset_children(root, root)
+    kids = _covered_children(root, root)
     assert [k.text for k in kids] == ["1000", "0100", "0010", "0001"]
 
 
 def test_children_of_worked_example_root():
     q = NodeId.parse("001001")
-    assert len(superset_children(q, q)) == 4  # free positions 0, 1, 3, 4
-
-
-def test_children_outside_region_rejected():
-    with pytest.raises(NotInSupersetRegion):
-        superset_children(NodeId.parse("0001"), NodeId.parse("0010"))
+    assert len(_covered_children(q, q)) == 4  # free positions 0, 1, 3, 4
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
