@@ -5,13 +5,13 @@ Run:  python demos/01_hypercube_tour.py
 
 from keycube import (
     NodeId,
+    TableHash,
     hamming_distance,
     keyword_bit,
     neighbors,
     next_hop,
     node_for_keywords,
     superset_region,
-    table_hash,
 )
 
 # Keywords hash to bit positions. With the default hash the position is a
@@ -23,7 +23,7 @@ for word in ("ocean", "mountain", "forest"):
 # For a readable walkthrough we pin six words to six positions instead.
 positions = {"Temperature": 0, "PoI": 1, "Wikipedia": 2,
              "Bologna": 3, "Urbino": 4, "Rome": 5}
-hash_fn = table_hash(positions)
+hash_fn = TableHash(positions)
 
 # A keyword set maps to the node whose id has exactly those bits set.
 target = node_for_keywords(["Wikipedia", "Rome"], 6, hash_fn)

@@ -7,11 +7,11 @@ result limit fills up.
 Run:  python demos/02_publish_and_search.py
 """
 
-from keycube import NetworkConfig, NodeId, build_network, table_hash
+from keycube import NetworkConfig, NodeId, TableHash, build_network
 
 positions = {"Temperature": 0, "PoI": 1, "Wikipedia": 2,
              "Bologna": 3, "Urbino": 4, "Rome": 5}
-net = build_network(NetworkConfig(r=6, hash_fn=table_hash(positions)))
+net = build_network(NetworkConfig(r=6, hash_fn=TableHash(positions)))
 
 records = [
     ("cid-rome-wiki", ["Wikipedia", "Rome"]),

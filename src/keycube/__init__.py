@@ -23,13 +23,13 @@ from .query import LogicalNode, QueryResult
 from .topology import (
     KeywordSet,
     NodeId,
+    TableHash,
     hamming_distance,
     keyword_bit,
     neighbors,
     next_hop,
     node_for_keywords,
     superset_region,
-    table_hash,
 )
 
 __version__ = "0.1.0"
@@ -49,6 +49,7 @@ __all__ = [
     "NodeState",
     "ObjectRecord",
     "QueryResult",
+    "TableHash",
     "build_network",
     "experiment_keywords",
     "hamming_distance",
@@ -61,6 +62,5 @@ __all__ = [
     "run_experiment",
     "run_scenario",
     "superset_region",
-    "table_hash",
     "__version__",
 ]

@@ -74,8 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="host wire-mode logical nodes")
     p.add_argument("--r", type=int, required=True, help="hypercube dimension")
-    p.add_argument("--all", action="store_true", help="host all 2**r nodes")
-    p.add_argument("--node-id", help="bit string of the single node to host")
+    hosted = p.add_mutually_exclusive_group(required=True)
+    hosted.add_argument("--all", action="store_true", help="host all 2**r nodes")
+    hosted.add_argument("--node-id", help="bit string of the single node to host")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--base-port", type=int, default=9000)
     p.set_defaults(func=cmd_serve)
@@ -131,9 +132,6 @@ def _parse_int_list(parser: argparse.ArgumentParser, raw: str, flag: str) -> tup
 
 
 def cmd_serve(args, parser) -> int:
-    if not args.all and args.node_id is None:
-        parser.error("serve needs --all or --node-id")
-
     try:
         cfg = NetworkConfig(r=args.r, transport=TRANSPORT_WIRE,
                             host=args.host, base_port=args.base_port)

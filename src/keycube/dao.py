@@ -92,8 +92,7 @@ class Proposal:
 class GovState:
     """Token balances, locks, proposals and the logical clock."""
 
-    def __init__(self, treasury: str = TREASURY):
-        self.treasury = treasury
+    def __init__(self):
         self.clock = 0
         self.total_supply = 0
         self.balances: dict[str, int] = {}
@@ -108,9 +107,9 @@ class GovState:
     # -- time and supply ------------------------------------------------------
 
     def tick(self, seconds: int) -> None:
-        """Advance the logical clock."""
-        if seconds <= 0:
-            raise InvalidAmount(f"tick must advance time, got {seconds}")
+        """Advance the logical clock by a positive integer."""
+        if type(seconds) is not int or seconds <= 0:  # a bool or a float is refused too
+            raise InvalidAmount(f"tick must advance time by a positive integer, got {seconds!r}")
         self.clock += seconds
 
     def mint(self, account: str, amount: int) -> None:
@@ -129,9 +128,9 @@ class GovState:
     def lock_tokens(self, owner: str, amount: int, release_time: int) -> int:
         """Escrow tokens until release_time; makes the owner a member."""
         self._check_amount(amount)
-        if release_time <= self.clock:
+        if type(release_time) is not int or release_time <= self.clock:
             raise InvalidReleaseTime(
-                f"release time {release_time} is not after clock {self.clock}")
+                f"release time {release_time!r} must be an integer after clock {self.clock}")
         self._debit(owner, amount)
         lock = Lock(self._next_lock_id, owner, amount, release_time)
         self._next_lock_id += 1
@@ -166,9 +165,9 @@ class GovState:
                         transfer_amount: int | None = None) -> int:
         if not self.is_member(proposer):
             raise NotAMember(f"{proposer} holds no active lock")
-        if debate_end <= self.clock:
+        if type(debate_end) is not int or debate_end <= self.clock:
             raise InvalidDebateEnd(
-                f"debate end {debate_end} is not after clock {self.clock}")
+                f"debate end {debate_end!r} must be an integer after clock {self.clock}")
         if (transfer_to is None) != (transfer_amount is None):
             raise ValueError("transfer payload needs both recipient and amount")
         if transfer_amount is not None:
@@ -231,7 +230,7 @@ class GovState:
                 best = suggestion.total_weight
                 winner = suggestion.id
         if winner is not None and proposal.transfer_to is not None:
-            self.transfer(self.treasury, proposal.transfer_to, proposal.transfer_amount)
+            self.transfer(TREASURY, proposal.transfer_to, proposal.transfer_amount)
         proposal.executed = True
         proposal.winner = winner
         return winner

@@ -9,8 +9,6 @@ POST /api/v0/cat?arg=<cid> endpoint, on stdlib `http.client` (imported on first 
 
 from __future__ import annotations
 
-import base64
-import json
 from typing import Iterable, Protocol
 from urllib.parse import urlencode, urlsplit
 
@@ -28,13 +26,6 @@ class MockResolver:
 
     def __init__(self, contents: dict[str, bytes] | None = None):
         self._contents = dict(contents or {})
-
-    @classmethod
-    def from_seed_file(cls, path) -> "MockResolver":
-        """Load a JSON map of cid -> base64-encoded bytes."""
-        with open(path) as fh:
-            raw = json.load(fh)
-        return cls({cid: base64.b64decode(data) for cid, data in raw.items()})
 
     def resolve(self, cid: str) -> bytes:
         _check_cid(cid)

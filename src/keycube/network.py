@@ -832,7 +832,10 @@ class Network:
     def route(self, start: NodeId, target: NodeId) -> QueryResult:
         """Deliver a ping from start to target; measures pure routing cost."""
         # Entered in process on either transport, as no route serves a ping; legs are the same.
-        reply = _copy(self.nodes[self._start(start)].client_ping(target))
+        start = self._start(start)
+        if start not in self.nodes:  # e.g. `Network(cfg, {})`, whose nodes are all remote
+            raise RoutingFailure(f"node {start.text} is not in process, where a ping enters")
+        reply = _copy(self.nodes[start].client_ping(target))
         return QueryResult((), reply["hops"], tuple(map(NodeId.parse, reply["visited"])))
 
     def _call(self, start: NodeId, entry: str, *args) -> dict:

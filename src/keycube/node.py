@@ -123,15 +123,3 @@ class NodeState:
     def cid_count(self) -> int:
         with self._lock:
             return sum(len(c) for c in self._entries.values())
-
-    # State must be transferable between executor contexts at rest; the
-    # lock is an execution-side detail and is rebuilt on arrival.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-

@@ -100,16 +100,6 @@ class NodeId(tuple):
             raise ValueError(f"bit position {position} out of range for r={self.r}")
         return tuple.__new__(NodeId, (self.r, self.value ^ (1 << position)))
 
-    @property
-    def popcount(self) -> int:
-        return bin(self.value).count("1")
-
-    def covers(self, other: "NodeId") -> bool:
-        """True when this id's set bits are a superset of `other`'s."""
-        if self.r != other.r:
-            raise DimensionMismatch(f"r={self.r} vs r={other.r}")
-        return self.value & other.value == other.value
-
 
 @functools.lru_cache(maxsize=1 << 14)
 def _parse_id(text: str) -> NodeId:
@@ -178,8 +168,7 @@ class TableHash:
     """Hash function backed by an explicit keyword -> position table.
 
     Unknown keywords fall through to `keyword_bit`. Used to pin down
-    small keyword universes in tests and walkthroughs. A plain class, not
-    a closure, so node state carrying it stays picklable.
+    small keyword universes in tests and walkthroughs.
     """
 
     def __init__(self, table: Mapping[str, int]):
@@ -192,11 +181,6 @@ class TableHash:
         if keyword in self.table:
             return self.table[keyword] % r
         return keyword_bit(keyword, r)
-
-
-def table_hash(table: Mapping[str, int]) -> HashFn:
-    """Shorthand for TableHash(table)."""
-    return TableHash(table)
 
 
 def node_for_keywords(keywords: Iterable[str], r: int,

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from keycube.network import NetworkConfig, build_network
-from keycube.topology import table_hash
+from keycube.topology import TableHash
 
 # Six-word keyword universe with pinned positions, used anywhere a test
 # needs human-readable keywords with known bits (r=6).
@@ -20,7 +20,7 @@ WIKI_POSITIONS = {
 
 @pytest.fixture
 def wiki_hash():
-    return table_hash(WIKI_POSITIONS)
+    return TableHash(WIKI_POSITIONS)
 
 
 @pytest.fixture

@@ -57,10 +57,18 @@ def test_serve_out_of_range_is_usage_error_before_any_bind(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_serve_needs_all_or_node_id():
-    with pytest.raises(SystemExit) as err:
-        main(["serve", "--r", "3"])
-    assert err.value.code == 2
+def test_serve_needs_all_or_node_id(monkeypatch):
+    def no_server(*args):
+        raise AssertionError("a usage error must start no server")
+
+    monkeypatch.setattr(cli, "build_network", no_server)
+    monkeypatch.setattr(cli, "start_node_server", no_server)
+    threads = set(threading.enumerate())
+    for argv in (["--r", "3"], ["--r", "3", "--all", "--node-id", "010"]):
+        with pytest.raises(SystemExit) as err:
+            main(["serve", *argv])
+        assert err.value.code == 2
+    assert set(threading.enumerate()) <= threads
 
 
 def test_malformed_keywords_usage_error(served):

@@ -157,6 +157,24 @@ def test_debate_end_must_be_future(funded):
         funded.submit_proposal("alice", "late", debate_end=100)
 
 
+TIME_ARGUMENTS = {
+    "tick": (InvalidAmount, lambda state, t: state.tick(t)),
+    "lock release time": (InvalidReleaseTime, lambda state, t: state.lock_tokens("bob", 5, t)),
+    "debate end": (InvalidDebateEnd, lambda state, t: state.submit_proposal("alice", "d", t)),
+}
+
+
+@pytest.mark.parametrize("when", [True, 0.5, 1.5, 2.5, 7.0])
+@pytest.mark.parametrize("op", sorted(TIME_ARGUMENTS))
+def test_times_must_be_exact_ints(funded, op, when):
+    make_member(funded, "alice")
+    before = funded.snapshot()
+    error, call = TIME_ARGUMENTS[op]
+    with pytest.raises(error):
+        call(funded, when)
+    assert funded.snapshot() == before
+
+
 def test_transfer_payload_stored_not_enacted(funded):
     make_member(funded, "alice")
     pid = funded.submit_proposal("alice", "bounty", 100,

@@ -1,5 +1,3 @@
-import base64
-import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -28,14 +26,6 @@ def test_mock_resolver_unknown_cid():
 def test_mock_resolver_rejects_empty_cid():
     with pytest.raises(ValueError):
         MockResolver().resolve("")
-
-
-def test_mock_resolver_from_seed_file(tmp_path):
-    seed_file = tmp_path / "contents.json"
-    seed_file.write_text(json.dumps(
-        {"cid1": base64.b64encode(b"payload").decode("ascii")}))
-    resolver = MockResolver.from_seed_file(seed_file)
-    assert resolver.resolve("cid1") == b"payload"
 
 
 def test_daemon_resolver_unreachable_is_gateway_error():

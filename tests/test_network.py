@@ -982,6 +982,14 @@ def test_pin_search_on_a_closed_wire_network_is_a_routing_failure():
         net.pin_search(NodeId.parse("0"), ["a"])
 
 
+def test_route_on_a_network_of_remote_nodes_is_a_routing_failure():
+    # `Network(cfg, {})` hosts no node, and a ping enters in process: no path is walked.
+    net = Network(NetworkConfig(r=2, transport=TRANSPORT_WIRE, base_port=free_port_block(4)), {})
+    with pytest.raises(RoutingFailure) as info:
+        net.route(NodeId(2, 0), NodeId(2, 3))
+    assert info.value.visited == []
+
+
 @pytest.mark.parametrize("address", ["127.0.0.1:9000", "ftp://127.0.0.1:9000",
                                      "http://127.0.0.1:port", "http://bücher:9000",
                                      "http://127.0.0.1:0"])

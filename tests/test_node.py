@@ -174,14 +174,3 @@ def test_records_snapshot(rome_node):
     rome_node.insert(ObjectRecord("cid-b", ["Wikipedia", "Rome"]))
     rome_node.insert(ObjectRecord("cid-a", ["Wikipedia", "Rome"]))
     assert [r.cid for r in rome_node.records()] == ["cid-a", "cid-b"]
-
-
-def test_state_transfers_between_contexts_at_rest(rome_node):
-    import pickle
-
-    rome_node.insert(ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"]))
-    moved = pickle.loads(pickle.dumps(rome_node))
-    assert moved.id == rome_node.id
-    assert list(moved.records()) == list(rome_node.records())
-    moved.insert(ObjectRecord("cid-two", ["Wikipedia", "Rome"]))
-    assert moved.cid_count() == 2

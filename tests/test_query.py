@@ -20,11 +20,11 @@ from keycube.query import LogicalNode
 from keycube.topology import (
     KeywordSet,
     NodeId,
+    TableHash,
     hamming_distance,
     keyword_bit,
     node_for_keywords,
     superset_region,
-    table_hash,
 )
 
 from conftest import make_net
@@ -175,7 +175,7 @@ def test_superset_visits_only_region_and_never_twice():
         tree_nodes = res.nodes_visited[route_len:]
         assert tree_nodes[0] == root
         assert len(tree_nodes) == len(set(tree_nodes))
-        assert all(n.covers(root) for n in tree_nodes)
+        assert all(n.value & root.value == root.value for n in tree_nodes)
 
 
 def test_superset_visited_follows_region_order_exactly():
@@ -352,7 +352,7 @@ def test_duplicate_cid_across_keysets_counted_once():
 def test_duplicate_at_a_child_does_not_stop_its_subtree(transport):
     # Child 101 holds only a duplicate of `a`; the walk must still enter 111 for `b`.
     ports = {"base_port": free_port_block(8)} if transport == TRANSPORT_WIRE else {}
-    cfg = NetworkConfig(r=3, transport=transport, hash_fn=table_hash({"w": 0, "x": 1, "y": 2}),
+    cfg = NetworkConfig(r=3, transport=transport, hash_fn=TableHash({"w": 0, "x": 1, "y": 2}),
                         **ports)
     with build_network(cfg) as net:
         net.insert("a", ["w"])
