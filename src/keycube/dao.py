@@ -101,8 +101,6 @@ class GovState:
         self._unreleased: defaultdict[str, dict[int, Lock]] = defaultdict(dict)
         self._escrowed = 0
         self.proposals: dict[int, Proposal] = {}
-        self._next_lock_id = 1
-        self._next_proposal_id = 1
 
     # -- time and supply ------------------------------------------------------
 
@@ -132,8 +130,7 @@ class GovState:
             raise InvalidReleaseTime(
                 f"release time {release_time!r} must be an integer after clock {self.clock}")
         self._debit(owner, amount)
-        lock = Lock(self._next_lock_id, owner, amount, release_time)
-        self._next_lock_id += 1
+        lock = Lock(len(self.locks) + 1, owner, amount, release_time)
         self.locks[lock.id] = lock
         self._unreleased[owner][lock.id] = lock
         self._escrowed += amount
@@ -172,9 +169,8 @@ class GovState:
             raise ValueError("transfer payload needs both recipient and amount")
         if transfer_amount is not None:
             self._check_amount(transfer_amount)
-        proposal = Proposal(self._next_proposal_id, proposer, description, debate_end,
+        proposal = Proposal(len(self.proposals) + 1, proposer, description, debate_end,
                             transfer_to=transfer_to, transfer_amount=transfer_amount)
-        self._next_proposal_id += 1
         self.proposals[proposal.id] = proposal
         return proposal.id
 

@@ -93,21 +93,22 @@ class ExperimentReport:
         raise KeyError(f"no cell ({nodes} nodes, {objects} objects, {op})")
 
     def write_summary_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SUMMARY_HEADER)
-            for cell in self.summaries:
-                writer.writerow([cell.r, cell.nodes, cell.objects, cell.op,
-                                 f"{cell.mean_hops:.6f}", cell.queries])
+        _write_csv(path, SUMMARY_HEADER, (
+            (cell.r, cell.nodes, cell.objects, cell.op, f"{cell.mean_hops:.6f}", cell.queries)
+            for cell in self.summaries))
 
     def write_raw_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RAW_HEADER)
-            for rec in self.records:
-                writer.writerow([rec.r, rec.nodes, rec.objects, rec.op,
-                                 rec.query_index, rec.start,
-                                 "|".join(rec.keywords), rec.hops, rec.results])
+        _write_csv(path, RAW_HEADER, (
+            (rec.r, rec.nodes, rec.objects, rec.op, rec.query_index, rec.start,
+             "|".join(rec.keywords), rec.hops, rec.results)
+            for rec in self.records))
+
+
+def _write_csv(path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -120,8 +121,7 @@ def derive_seed(seed: int, *parts) -> int:
 def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     """Run every cell of the plan; the report is a pure function of the plan."""
     report = ExperimentReport(plan)
-    for nodes in plan.node_counts:
-        r = nodes.bit_length() - 1
+    for r, nodes in zip(plan.dimensions, plan.node_counts):
         universe = experiment_keywords(r)
         for objects in plan.object_counts:
             with build_network(NetworkConfig(r=r)) as net:

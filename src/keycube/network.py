@@ -19,11 +19,11 @@ mirrors it with a plain listener per node and a connection that owns its
 read buffer: `_read_head` reads each request head without `http.client`'s
 header parser, keeping only the fields the server reads, every request's
 body is read once, one table (`_ROUTES`) picks the node call by method
-and path, and each reply goes out in one write. A head it refuses gets a
-JSON `BadRequest` reply. Each request that arrives is served on a thread
-started for it; between requests a connection waits, holding no thread,
-in the accept loop, which closes it once it has been idle for
-`WIRE_TIMEOUT`.
+and path, one place chooses each reply, and each reply goes out in one
+write. A head it refuses gets a JSON `BadRequest` reply. Each request
+that arrives is served on a thread started for it; between requests a
+connection waits, holding no thread, in the accept loop, which closes it
+once it has been idle for `WIRE_TIMEOUT`.
 
 Per node, wire mode:
     POST /insert            {"cid": str, "keywords": [str]}
@@ -313,7 +313,7 @@ class _NodeServer:
 
 
 class _BadHead(Exception):
-    """A request head the server refuses; `status` is the HTTP status of the reply."""
+    """Framing the server refuses: answered with `status` and a `BadRequest`, then closed."""
 
     def __init__(self, status: HTTPStatus, detail: str):
         super().__init__(detail)
@@ -408,18 +408,20 @@ class _Connection:
     already in `buffer`, and then hands the connection back to be parked
     again, or closes it.
 
-    Each request takes the same steps. `_read_head` reads its head, and a
-    head it refuses gets a `BadRequest` reply with the status it names,
-    then the connection closes; once the server has closed, a head gets no
-    reply. The connection rules come next: HTTP/1.1 stays open unless the
-    client sends `Connection: close`, HTTP/1.0 closes unless it sends
-    `keep-alive`, and `Expect: 100-continue` gets `100 Continue`. Then the
-    body is read, whatever the method or path, so the next request starts
-    where this one ends. Last, `_ROUTES` picks the node call by method and
-    path, and its result or error is the one reply, with `Connection:
-    close` if the connection closes after it. A connection stalled for the
-    server's `timeout` seconds, or reset by the client, is closed unanswered
-    and nothing is logged.
+    Each request takes the same steps, in one `try` whose handlers choose
+    its one reply. `_read_head` reads its head; once the server has closed,
+    a head gets no reply. The connection rules come next: HTTP/1.1 stays
+    open unless the client sends `Connection: close`, HTTP/1.0 closes
+    unless it sends `keep-alive`, and `Expect: 100-continue` gets `100
+    Continue`. Then the body is read, whatever the method or path, so the
+    next request starts where this one ends. Last, `_ROUTES` picks the node
+    call by method and path, and its result or error is the reply, with
+    `Connection: close` if the connection closes after it. A head, or a
+    `Content-Length`, that is refused raises `_BadHead` and gets a
+    `BadRequest` reply with the status it names; an error while reading a
+    head gets a 500 `InternalError` reply. The connection closes after
+    either. A connection stalled for the server's `timeout` seconds, or
+    reset by the client, is closed unanswered and nothing is logged.
     """
 
     def __init__(self, sock: socket.socket, server: _NodeServer):
@@ -474,25 +476,21 @@ class _Connection:
 
     def _serve_one(self) -> None:
         self.close_connection = True
+        node, target = self.server.logical_node, "a request head"
         try:
             head = _read_head(self)
-        except _BadHead as exc:
-            self._send(exc.status, error_payload(BadRequest(str(exc))))
-            return
-        if head is None or self.server.closed:
-            return
-        method, target, version, fields = head
-        connection = fields.get("connection", "").lower()
-        if version == "HTTP/1.1":
-            self.close_connection = connection == "close"
-            if fields.get("expect", "").lower() == "100-continue":
-                self.sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-        else:
-            self.close_connection = connection != "keep-alive"
-        # A leading "//" would make urlsplit read a host; fold it into one "/".
-        target = "/" + target.lstrip("/") if target.startswith("//") else target
-        node = self.server.logical_node
-        try:
+            if head is None or self.server.closed:
+                return
+            method, target, version, fields = head
+            connection = fields.get("connection", "").lower()
+            if version == "HTTP/1.1":
+                self.close_connection = connection == "close"
+                if fields.get("expect", "").lower() == "100-continue":
+                    self.sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            else:
+                self.close_connection = connection != "keep-alive"
+            # A leading "//" would make urlsplit read a host; fold it into one "/".
+            target = "/" + target.lstrip("/") if target.startswith("//") else target
             raw = self._raw_body(fields)
             url = urlsplit(target)
             route = _ROUTES.get((method, url.path))
@@ -502,6 +500,9 @@ class _Connection:
                 status, payload = 200, route(node, parse_qs(url.query), raw)
         except _CLIENT_GONE:
             raise  # from this connection's own socket: there is no one to answer
+        except _BadHead as exc:  # where the next request starts is unknown
+            self.close_connection = True
+            status, payload = exc.status, error_payload(BadRequest(str(exc)))
         except RoutingFailure as exc:
             status, payload = 502, error_payload(exc)
         except (KeycubeError, ValueError) as exc:
@@ -522,12 +523,12 @@ class _Connection:
     def _raw_body(self, fields: dict[str, str]) -> bytes:
         text = fields.get("content-length", "0")
         if not (text.isascii() and text.isdigit()):  # 1*DIGIT (RFC 9110 section 8.6)
-            self.close_connection = True  # where the body ends is unknown
-            raise BadRequest(f"Content-Length must be a non-negative integer, got {text!r}")
+            raise _BadHead(HTTPStatus.BAD_REQUEST,
+                           f"Content-Length must be a non-negative integer, got {text!r}")
         length = int(text)
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True  # the body is left unread
-            raise BadRequest(f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes")
+        if length > MAX_BODY_BYTES:  # the body is left unread
+            raise _BadHead(HTTPStatus.BAD_REQUEST,
+                           f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes")
         return self.read(length) if length else b"{}"
 
 

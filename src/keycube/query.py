@@ -24,7 +24,8 @@ it is their id. So a hop and a walk visit read `target` with the cached
 `topology._parse_id`, not `NodeId.parse`. An unknown op is refused by the
 wire decode, or in process by `_handle` at the envelope's target. A client
 reply is checked once, where `QueryResult.from_reply` reads it: one
-C-level exact-`str` pass over each of its lists, then `_parse_id` on each id.
+C-level exact-`str` pass over each of its lists, its `hops` against the
+length of its path, then `_parse_id` on each id.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class QueryResult:
 
     @classmethod
     def from_reply(cls, reply: dict) -> "QueryResult":
-        """Read a client reply: string `cids`, an int `hops` and a list of ids `visited`.
+        """Read a client reply: string `cids`, a list of ids `visited` and an int
+        `hops` that is `len(visited) - 1`, as every node builds it.
 
         Any other reply raises `RoutingFailure`, as does any reply the wire
         client cannot use.
@@ -75,7 +77,7 @@ class QueryResult:
         cids, hops, visited = reply.get("cids"), reply.get("hops"), reply.get("visited")
         if (type(cids) is not list or not _STR.issuperset(map(type, cids))
                 or type(hops) is not int or type(visited) is not list
-                or not _STR.issuperset(map(type, visited))):
+                or not _STR.issuperset(map(type, visited)) or hops != len(visited) - 1):
             raise RoutingFailure(f"not a query reply: {reply!r:.200}")
         try:  # every entry is an exact str, as `_parse_id` needs
             return cls(tuple(cids), hops, tuple(map(_parse_id, visited)))

@@ -30,7 +30,6 @@ from keycube.topology import (
     KeywordSet,
     NodeId,
     hamming_distance,
-    node_for_keywords,
     superset_region,
 )
 

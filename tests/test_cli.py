@@ -96,6 +96,13 @@ def test_experiment_bad_nodes_usage_error():
     assert err.value.code == 2
 
 
+def test_experiment_node_list_that_is_not_integers_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--nodes", "8,x"])
+    assert err.value.code == 2
+    assert "--nodes expects comma-separated integers, got '8,x'" in capsys.readouterr().err
+
+
 # --- transport errors ---------------------------------------------------------
 
 def test_unreachable_target_exits_3(capsys):
@@ -126,6 +133,7 @@ NOT_QUERY_REPLIES = {
     "cids a string": {"cids": "abc", "hops": 0, "visited": []},
     "hops missing": {"cids": [], "visited": ["00"]},
     "visited a bad id": {"cids": [], "hops": 0, "visited": ["0x"]},
+    "hops not the length of the path": {"cids": [], "hops": 7, "visited": ["00"]},
 }
 
 

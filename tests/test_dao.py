@@ -25,6 +25,7 @@ from keycube.errors import (
     NotAMember,
     ScenarioError,
     UnknownLock,
+    UnknownProposal,
 )
 
 
@@ -181,6 +182,33 @@ def test_transfer_payload_stored_not_enacted(funded):
                                  transfer_to="bob", transfer_amount=50)
     assert funded.proposals[pid].transfer_to == "bob"
     assert funded.balances["bob"] == 500
+
+
+# Calls refused with their error once alice has proposal 1, with suggestion 0, open.
+REFUSED_CALLS = {
+    "transfer with a recipient and no amount": (ValueError, lambda state: state.submit_proposal(
+        "alice", "bounty", 100, transfer_to="bob")),
+    "transfer with an amount and no recipient": (ValueError, lambda state: state.submit_proposal(
+        "alice", "bounty", 100, transfer_amount=50)),
+    "vote by a non-member": (NotAMember, lambda state: state.vote(1, 0, "carol")),
+    "suggestion on an unknown proposal": (UnknownProposal,
+                                          lambda state: state.submit_suggestion(2, "alice", "x")),
+    "vote on an unknown proposal": (UnknownProposal, lambda state: state.vote(2, 0, "alice")),
+    "execution of an unknown proposal": (UnknownProposal,
+                                         lambda state: state.execute_proposal(2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_CALLS))
+def test_refused_call_leaves_the_ledger_unchanged(funded, case):
+    make_member(funded, "alice")
+    assert funded.submit_proposal("alice", "topic", 100) == 1
+    assert funded.submit_suggestion(1, "alice", "option") == 0
+    before = funded.snapshot()
+    error, call = REFUSED_CALLS[case]
+    with pytest.raises(error):
+        call(funded)
+    assert funded.snapshot() == before
 
 
 def test_suggestions_append_during_debate(funded):
@@ -372,6 +400,33 @@ def test_scenario_full_lifecycle():
     state, log = run_scenario(lines)
     assert state.proposals[1].winner == 0
     assert any("winner 0" in entry for entry in log)
+
+
+def test_scenario_propose_transfer_pays_the_winner_out_of_the_treasury():
+    lines = [
+        "mint alice 100",
+        "mint treasury 500",
+        "lock alice 100 500",
+        "propose-transfer alice 100 bob 50 pay a bounty",
+        "suggest 1 alice pay it",
+        "vote 1 0 alice",
+        "tick 100",
+        "execute 1",
+    ]
+    state, log = run_scenario(lines)
+    assert log[3:] == [
+        "line 4: propose-transfer -> id 1",
+        "line 5: suggest -> proposal 1 suggestion 0",
+        "line 6: vote -> proposal 1 suggestion 0 weight 100",
+        "line 7: tick -> clock 100",
+        "line 8: execute -> proposal 1 winner 0",
+    ]
+    proposal = state.proposals[1]
+    assert (proposal.description, proposal.transfer_to, proposal.transfer_amount) == (
+        "pay a bounty", "bob", 50)
+    assert proposal.executed and proposal.winner == 0
+    assert state.balances == {"alice": 0, "treasury": 450, "bob": 50}
+    assert state.conserved()
 
 
 def test_scenario_aborts_with_line_number():

@@ -26,7 +26,6 @@ from keycube.errors import (
     InvalidKeyword,
     KeycubeError,
     NotInSupersetRegion,
-    NotResponsible,
     RoutingFailure,
 )
 from keycube.network import (
@@ -127,6 +126,11 @@ def test_wire_port_block_past_the_port_range_is_refused_before_any_bind(r, base_
     with pytest.raises(ValueError, match="1..65535"):
         build_network(NetworkConfig(r=r, transport=TRANSPORT_WIRE, base_port=base_port))
     assert set(threading.enumerate()) <= threads  # no node server was started
+
+
+def test_unknown_transport_is_refused():
+    with pytest.raises(ValueError, match="unknown transport 'pigeon'"):
+        NetworkConfig(r=3, transport="pigeon")
 
 
 def test_wire_port_block_may_end_at_65535():
@@ -567,6 +571,18 @@ def test_post_to_an_unknown_path_has_its_body_read_and_keeps_its_connection(wire
                        (b"HTTP/1.1 200 OK", NodeClient(addr(wire_net, "000")).info())]
 
 
+@pytest.mark.parametrize("body", [b"{", b"\xff"], ids=["not JSON", "not UTF-8"])
+@pytest.mark.parametrize("path", ["/insert", "/internal/forward"])
+def test_body_that_does_not_decode_is_bad_request_and_keeps_its_connection(wire_net, path,
+                                                                            body):
+    request = (b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+               % (path.encode(), len(body), body)) + LAST_INFO
+    (status, payload), last = replies_until_closed(wire_net.cfg.base_port, request)
+    assert status == b"HTTP/1.1 400 Bad Request"
+    assert payload["error"] == "BadRequest"
+    assert last == (b"HTTP/1.1 200 OK", NodeClient(addr(wire_net, "000")).info())
+
+
 def test_unparsable_request_target_gets_a_400_reply(wire_net):
     request = b"GET http://[x/info HTTP/1.1\r\nConnection: close\r\n\r\n"
     status, payload = raw_exchange(wire_net.cfg.base_port, request)
@@ -675,6 +691,20 @@ def test_unexpected_handler_error_gets_a_500_reply():
         with pytest.raises(InternalError):
             net.pin_search(NodeId.parse("11"), ["boom"])
         assert net.pin_search(NodeId.parse("11"), ["kw0000"]).cids == ()
+
+
+def test_unexpected_error_reading_a_head_gets_a_500_reply_then_a_close(monkeypatch, caplog):
+    def broken_read_head(conn):
+        raise RuntimeError("bug in the head reader")
+
+    base = free_port_block(2)
+    with build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base)):
+        monkeypatch.setattr(network, "_read_head", broken_read_head)
+        request = b"GET /info HTTP/1.1\r\nHost: x\r\n\r\n"
+        status, payload = raw_exchange(base, request)  # reads until the node closes
+    assert status == b"HTTP/1.1 500 Internal Server Error"
+    assert payload == {"error": "InternalError", "detail": "RuntimeError: bug in the head reader"}
+    assert "failed on a request head" in caplog.text
 
 
 # Envelopes whose target is not the id of their keywords, or not r=3 bits
@@ -962,6 +992,7 @@ MALFORMED_QUERY_REPLIES = {
     "visited an object": {"cids": [], "hops": 0, "visited": {"0": 1}},
     "visited entry a number": {"cids": [], "hops": 0, "visited": [5]},
     "visited entry not an id": {"cids": [], "hops": 0, "visited": ["2"]},
+    "hops not the length of the path": {"cids": [], "hops": 7, "visited": ["0"]},
 }
 
 

@@ -4,8 +4,6 @@ from keycube.errors import DimensionMismatch, NotInSupersetRegion, NotResponsibl
 from keycube.node import NodeState, ObjectRecord
 from keycube.topology import KeywordSet, NodeId, node_for_keywords
 
-from conftest import WIKI_POSITIONS
-
 
 def superset_lookup(node, words, limit):
     """`node.superset_lookup` with the query bits hashed as a walk root would."""

@@ -5,7 +5,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from keycube.errors import (
@@ -265,6 +265,11 @@ def test_default_hash_equals_the_generic_path(words, r):
     assert node_for_keywords(words, r) == node_for_keywords(words, r, TableHash({}))
 
 
+def test_table_hash_rejects_an_empty_keyword():
+    with pytest.raises(InvalidKeyword):
+        TableHash({})("", 3)
+
+
 @given(st.frozensets(keywords_st, min_size=1, max_size=6), st.integers(1, 32),
        st.sampled_from(["r", "-1"]))
 def test_a_custom_hash_out_of_range_is_value_error(words, r, bad):
@@ -343,6 +348,11 @@ def test_next_hop_flips_lowest_differing_bit():
 
 def test_next_hop_single_bit():
     assert next_hop(NodeId.parse("01"), NodeId.parse("11")).text == "11"
+
+
+def test_next_hop_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        next_hop(NodeId.parse("00"), NodeId.parse("011"))
 
 
 def test_next_hop_at_target_rejected():
