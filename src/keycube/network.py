@@ -1,12 +1,12 @@
 """Complete 2**r-node networks over two interchangeable transports.
 
-The in-process transport dispatches envelopes by direct call. The callee
-gets a strict structural copy of each envelope, and `Network` copies each
-reply once, at the client. The copy accepts exactly JSON's types and shares
-no mutable object, so both transports move the same payloads; results are
-identical by construction, not by luck. The wire transport gives every
-logical node an HTTP listener on its own OS port, and one thread accepts for
-all of a network's listeners; legs between nodes are POST /internal/forward.
+The in-process transport dispatches envelopes by direct call. The callee gets
+its own copy of the envelope's dict and lists, whose values were checked where
+it was built; `Network` copies each reply once, at the client, with the strict
+`_copy`. So both transports move the same JSON payloads; results are identical
+by construction, not by luck. The wire transport gives every logical node an
+HTTP listener on its own OS port, and one thread accepts for all of a network's
+listeners; legs between nodes are POST /internal/forward.
 The two halves of the format sit side by side: `_ROUTES` turns each request
 into a `LogicalNode` call, and `NodeClient`, the client half, sends each
 such call as that request. A wire `Network`, and the CLI, call a node
@@ -110,15 +110,20 @@ class NetworkConfig:
 
 
 class InProcessTransport:
-    """Direct dispatch: a strict copy (`_copy`) of the envelope in, the callee's own reply out."""
+    """Direct dispatch: the envelope's dict and flat `str` lists copied in, the callee's reply out."""
 
     def __init__(self, nodes: dict[NodeId, LogicalNode]):
         self.nodes = nodes
 
     def call(self, target: NodeId, envelope: dict) -> dict:
-        return self.nodes[target].handle_forward(_copy(envelope))
+        leg = dict(envelope)
+        for key in _LIST_FIELDS.get(leg["op"], ("visited",)):  # a hand-built unknown op
+            leg[key] = list(leg[key])
+        return self.nodes[target].handle_forward(leg)
 
 
+_LIST_FIELDS = {op: ("visited", *(key for key, kind in fields.items() if kind is list))
+                for op, fields in ENVELOPE_FIELDS.items()}
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
@@ -128,8 +133,7 @@ def _copy(x):
     Scalars pass through; lists and tuples become new lists and dicts new
     dicts. Stricter than `json.dumps`: a dict key must be a `str`, not
     coerced to one, and only these exact types are accepted. Anything else
-    raises `TypeError`. A dict's scalar and flat-list values, all an
-    envelope or reply holds, are copied in the dict's own pass.
+    raises `TypeError`. `Network` runs it once on each client reply.
     """
     kind = type(x)
     if kind is dict:
@@ -137,18 +141,12 @@ def _copy(x):
         for key, value in x.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            kind = type(value)
-            if kind in _SCALARS:
-                out[key] = value
-            elif (kind is list or kind is tuple) and _SCALARS.issuperset(map(type, value)):
-                out[key] = list(value)
-            else:
-                out[key] = _copy(value)
+            out[key] = _copy(value)
         return out
     if kind is list or kind is tuple:
         if _SCALARS.issuperset(map(type, x)):  # flat: one C-level copy
             return list(x)
-        return [v if type(v) in _SCALARS else _copy(v) for v in x]
+        return [_copy(v) for v in x]
     if kind in _SCALARS:
         return x
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -90,8 +90,10 @@ class Transport(Protocol):
 
     The callee must neither keep nor mutate the envelope it is given: a
     walk node passes one leg dict to all its children in turn. Both
-    transports hand the callee its own copy. A caller neither keeps nor
-    mutates a reply, so in process it is copied once, at the client.
+    transports hand the callee its own copy: in process, of the dict and
+    its lists, which are flat lists of `str`. So an envelope holds only
+    JSON values where it is built. A caller neither keeps nor mutates a
+    reply, so in process it is copied once, strictly, at the client.
     """
 
     def call(self, target: NodeId, envelope: dict) -> dict: ...

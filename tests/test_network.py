@@ -1,4 +1,5 @@
 import enum
+import functools
 import json
 import random
 import re
@@ -1428,28 +1429,63 @@ CLIENT_ENTRIES = {  # each in-process client entry, called by `Network` with a s
 def test_in_process_client_replies_are_copied_once_at_the_client(entry, start, monkeypatch):
     net = make_net(3)
     node = net.nodes[NodeId.parse(start)]
-    returned, copies = [], []
-    call, copy = getattr(node, entry), network._copy
+    returned, copies, sent, arrived = [], [], [], []
+    depth = 0
+    call, copy, send = getattr(node, entry), network._copy, node.transport.call
 
     def spy_entry(*args):
         returned.append(call(*args))
         return returned[-1]
 
-    def spy_copy(value):
-        copies.append((value, copy(value)))
-        return copies[-1][1]
+    def spy_copy(value):  # records outermost calls only: the copy recurses through this name
+        nonlocal depth
+        depth += 1
+        try:
+            copied = copy(value)
+        finally:
+            depth -= 1
+        if not depth:
+            copies.append((value, copied))
+        return copied
+
+    def spy_send(target, envelope):
+        sent.append(envelope)
+        return send(target, envelope)
+
+    def spy_handle(handle, envelope):
+        arrived.append(envelope)
+        return handle(envelope)
 
     monkeypatch.setattr(node, entry, spy_entry)
     monkeypatch.setattr(network, "_copy", spy_copy)
+    monkeypatch.setattr(node.transport, "call", spy_send)  # the transport all nodes share
+    for other in net.nodes.values():
+        monkeypatch.setattr(other, "handle_forward",
+                            functools.partial(spy_handle, other.handle_forward))
     result = CLIENT_ENTRIES[entry](net, node.id)
     [reply] = returned
-    [copied] = [out for value, out in copies if value is reply]
+    [(value, copied)] = copies  # one strict copy per client call, of its reply
+    assert value is reply
     assert copied == reply
     assert not {id(c) for c in containers(copied)} & {id(c) for c in containers(reply)}
     if type(result) is dict:  # insert and remove return the reply itself
         assert result is copied
-    # One copy per envelope per leg (node 111 is 0 or 3 legs away), and one of the reply.
-    assert len(copies) == hamming_distance(node.id, NodeId.parse("111")) + 1
+    # One leg per hop (node 111 is 0 or 3 legs away), each a new dict with new lists.
+    assert len(arrived) == len(sent) == hamming_distance(node.id, NodeId.parse("111"))
+    for envelope, leg in zip(sent, arrived):
+        assert leg is not envelope
+        lists = [key for key, value in envelope.items() if type(value) is list]
+        assert "visited" in lists and all(leg[key] is not envelope[key] for key in lists)
+
+
+@pytest.mark.parametrize("start", ["111", "000"], ids=["0 hops", "3 hops"])
+@pytest.mark.parametrize("entry", ["client_insert", "client_remove"])
+def test_a_bytes_cid_given_to_a_node_is_refused_at_its_target(entry, start):
+    # `Network` refuses a non-`str` cid before any leg; a direct call to the node
+    # skips that check, and the target's `ObjectRecord` refuses it instead.
+    net = make_net(3)
+    with pytest.raises(ValueError, match="cid must be a non-empty string"):
+        getattr(net.nodes[NodeId.parse(start)], entry)(b"c", KeywordSet(KEYS_AT_111))
 
 
 @pytest.mark.parametrize("start", ["111", "000"], ids=["0 hops", "3 hops"])
@@ -1582,6 +1618,56 @@ def test_transports_agree_on_100_queries():
             assert a.nodes_visited == b.nodes_visited
     finally:
         wire.close()
+
+
+def test_leg_envelopes_are_json_exact_and_match_across_transports(twin_nets, monkeypatch):
+    # In process, a leg copies only its envelope's dict and lists, so every value
+    # must already be JSON-exact where the envelope is built: each envelope that
+    # reaches `handle_forward` passes the strict copy and the JSON round trip, and
+    # the wire delivers the same JSON text in the same order. The walk of region
+    # 1** on [key] from 000 meets "leg-dup" at its root 100, drops it again at 110,
+    # and meets its limit 2 at 101.
+    universe = experiment_keywords(3)
+    at = {bit: [word for word in universe if keyword_bit(word, 3) == bit] for bit in range(3)}
+    key, start = at[0][0], NodeId.parse("000")
+    stored = [("leg-dup", [key]), ("leg-dup", [key, at[1][0]]), ("leg-dup", [key, at[1][1]]),
+              ("leg-other", [key, at[2][0]])]
+    ops = {
+        "insert": lambda net: [net.insert(cid, words, start=start) for cid, words in stored],
+        "pin": lambda net: net.pin_search(start, stored[1][1]).cids,
+        "ping": lambda net: net.route(start, NodeId.parse("111")).hops,
+        "superset": lambda net: net.superset_search(start, [key], 2).cids,
+        "remove": lambda net: [net.remove(cid, words, start=start) for cid, words in stored],
+    }
+    assert [*twin_nets["in-process"].scan_records()] == [*twin_nets["wire"].scan_records()]
+    legs, unknown_legs = {}, {}
+    for transport, net in twin_nets.items():
+        seen = []
+        for node in net.nodes.values():
+            def spy(envelope, text=node.text, handle=node.handle_forward):
+                sent = json.dumps(envelope)  # before the node appends itself
+                exact = _copy(envelope) == envelope == json.loads(sent)
+                seen.append((text, sent, exact))
+                return handle(envelope)
+
+            monkeypatch.setattr(node, "handle_forward", spy)
+        results = {op: act(net) for op, act in ops.items()}
+        assert results["superset"] == ("leg-dup", "leg-other")
+        assert all(reply["status"] == "removed" for reply in results["remove"])
+        legs[transport] = [*seen]
+        seen.clear()
+        with pytest.raises(KeycubeError, match="unknown op 'bogus'"):
+            net.nodes[start].transport.call(start, {"op": "bogus", "target": "110",
+                                                    "visited": []})
+        unknown_legs[transport] = seen
+    assert all(exact for _, _, exact in legs["in-process"] + unknown_legs["in-process"])
+    assert legs["in-process"] == legs["wire"]
+    ops_sent = [(text, json.loads(sent)["op"]) for text, sent, _ in legs["wire"]]
+    assert {op for _, op in ops_sent} == {*ops, "superset_visit"}
+    assert [text for text, op in ops_sent if op == "superset_visit"] == ["110", "101"]
+    # The wire decode refuses an unknown op; in process it is routed to its target.
+    assert [text for text, _, _ in unknown_legs["in-process"]] == ["000", "100", "110"]
+    assert unknown_legs["wire"] == []
 
 
 # --- the path is the hop count ----------------------------------------------------------

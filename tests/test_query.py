@@ -396,11 +396,12 @@ def _calls_per_hop(searches) -> float:
 
 def test_in_process_hops_stay_within_a_call_budget():
     # Every in-process hop is one leg, so a walk's or a pin's cost is set by the
-    # fixed calls per leg. r=12 as in the cube12 benchmark. The budgets hold on
-    # 3.10 to 3.13. A hop reads its target without `NodeId.parse`, and copies
-    # its envelope but not its reply, which is copied once, at the client. A
-    # walk visit checks its region and lists its children in its own frames, and
-    # a query's words are hashed and its reply's ids read without a call per entry.
+    # fixed calls per leg. r=12 as in the cube12 benchmark. On 3.10 to 3.13 both
+    # measure 5.24 and 7.32. A hop reads its target without `NodeId.parse`, and
+    # copies its envelope's dict and lists in its own frame; only the reply gets
+    # the strict recursive copy, once, at the client. A walk visit checks its
+    # region and lists its children in its own frames, and a query's words are
+    # hashed and its reply's ids read without a call per entry.
     r = 12
     net = make_net(r)
     populate(net, 1000, seed=2021)
@@ -410,8 +411,8 @@ def test_in_process_hops_stay_within_a_call_budget():
              for word in universe[:6]]
     pins = [functools.partial(net.pin_search, NodeId(r, rng.randrange(1 << r)),
                               random_keyset(rng, universe, r)) for _ in range(40)]
-    assert _calls_per_hop(walks) <= 6.5
-    assert _calls_per_hop(pins) <= 8.5
+    assert _calls_per_hop(walks) <= 5.5
+    assert _calls_per_hop(pins) <= 7.5
 
 
 @pytest.mark.parametrize("start", ["110", "000"], ids=["at-target", "two-hops-away"])
