@@ -64,8 +64,9 @@ from .errors import (
     raise_from_payload,
 )
 from .node import NodeState, ObjectRecord
-from .query import _STR, ENVELOPE_FIELDS, LogicalNode, QueryResult
+from .query import ENVELOPE_FIELDS, LogicalNode, QueryResult
 from .topology import (
+    _STR,
     HashFn,
     KeywordSet,
     NodeId,
@@ -116,7 +117,7 @@ class InProcessTransport:
         self.nodes = nodes
 
     def call(self, target: NodeId, envelope: dict) -> dict:
-        leg = dict(envelope)
+        leg = envelope.copy()
         for key in _LIST_FIELDS.get(leg["op"], ("visited",)):  # a hand-built unknown op
             leg[key] = list(leg[key])
         return self.nodes[target].handle_forward(leg)
@@ -562,7 +563,8 @@ def _envelope(raw: bytes, state: NodeState) -> dict:
     """Decode an envelope, checking its op, fields, target and budgets so handlers can trust it.
 
     An unknown op or a field the op does not declare is refused. Where the op
-    declares `keywords`, `target` must be their id: the only ownership check.
+    declares `keywords`, they must be a canonical set, sorted and distinct, as
+    the target trusts them, and `target` must be their id: the only ownership check.
 
     `visited` and `collected` hold strings only. `visited` is the path and
     the only record of the hop count: greedy routing fixes one bit per hop
@@ -592,9 +594,12 @@ def _envelope(raw: bytes, state: NodeState) -> dict:
         raise BadRequest(f"bad target: {exc}") from None
     if target.r != state.r:
         raise BadRequest(f"target {target.text} does not have r={state.r} bits")
-    if "keywords" in fields and target != node_for_keywords(
-            env["keywords"], state.r, state.hash_fn):
-        raise BadRequest(f"target {target.text} is not the id of {env['keywords']!r}")
+    if "keywords" in fields:
+        keywords = KeywordSet(env["keywords"])
+        if keywords != tuple(env["keywords"]):  # the target takes the list as a set as is
+            raise BadRequest(f"keywords {env['keywords']!r} are not sorted and distinct")
+        if target != node_for_keywords(keywords, state.r, state.hash_fn):
+            raise BadRequest(f"target {target.text} is not the id of {env['keywords']!r}")
     return env
 
 

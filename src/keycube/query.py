@@ -14,18 +14,25 @@ and visited segment, which the parent appends. Every walk leg still
 carries `collected`, every cid found so far, so a leg's cost grows with
 min(limit, cids found) and an exhaustive walk is not linear in its hops.
 
-A query's keywords are hashed to its target id once, where it enters.
-The node whose id text is `target` trusts it: insert and pin pass that id
-to `NodeState` as the keywords' bits, and every walk leg carries the root's
-id, so no node hashes them again. Handlers trust the envelopes they are
-given; on the wire, the decode in `network` is the one ownership check: it
-checks that `target` has r bits and, where the op declares keywords, that
-it is their id. So a hop and a walk visit read `target` with the cached
-`topology._parse_id`, not `NodeId.parse`. An unknown op is refused by the
-wire decode, or in process by `_handle` at the envelope's target. A client
-reply is checked once, where `QueryResult.from_reply` reads it: one
-C-level exact-`str` pass over each of its lists, its `hops` against the
-length of its path, then `_parse_id` on each id.
+A query's keywords are made a `KeywordSet` and hashed to its target id
+once, where it enters; its envelope lists them in that canonical order.
+The target trusts both: it wraps the list as a `KeywordSet` without
+sorting it again, and passes its own id to `NodeState` as their bits.
+Every walk leg carries the root's id, so no node hashes them again. On the
+wire, the decode in `network` is the one ownership check: `target` has r
+bits and, where the op declares keywords, their list is canonical and
+`target` is their id. So hops read `target` with the cached
+`topology._parse_id`, not `NodeId.parse`.
+
+Each hop is one `handle_forward` call, which takes a routed envelope's
+greedy step itself and calls `_handle` only at the target; `_handle` also
+takes the entry node's first step, and refuses an unknown op in process.
+A walk visit checks its own r and region, asks its table only if the node
+holds entries, and steps its children's bits (the tree rule
+`topology._child_bits`) in line. A client reply is checked once, where
+`QueryResult.from_reply` reads it: one C-level exact-`str` pass over each
+of its lists, its `hops` against the length of its path, then `_parse_id`
+on each id.
 """
 
 from __future__ import annotations
@@ -33,12 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .errors import KeycubeError, RoutingFailure
+from .errors import DimensionMismatch, KeycubeError, NotInSupersetRegion, RoutingFailure
 from .node import NodeState, ObjectRecord
 from .topology import (
+    _STR,
     KeywordSet,
     NodeId,
-    _covered_children,
+    _child_bits,
     _parse_id,
     neighbors,
     next_hop,
@@ -55,7 +63,6 @@ ENVELOPE_FIELDS: dict[str, dict[str, type]] = {
     "superset": {**_ROUTED_FIELDS, "limit": int},
     "superset_visit": {"target": str, "keywords": list, "limit": int, "collected": list},
 }
-_STR = frozenset({str})
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,7 @@ class LogicalNode:
         self.transport = transport
         self.id = state.id
         self.text = state.id.text  # computed once: every leg appends or compares it
+        self._entries = state._entries  # the node's table, read here only for emptiness
 
     # -- client entry points (what /insert, /pin, ... invoke) --------------
 
@@ -135,30 +143,28 @@ class LogicalNode:
         }
 
     def _routed_envelope(self, op: str, keywords: KeywordSet, **extra) -> dict:
+        keywords = KeywordSet(keywords)  # canonical here: the target wraps the list as is
         target = node_for_keywords(keywords, self.state.r, self.state.hash_fn)
-        env = {
-            "op": op,
-            "target": target.text,
-            "keywords": list(keywords),
-            "visited": [self.text],
-        }
-        env.update(extra)
-        return env
+        return {"op": op, "target": target.text, "keywords": list(keywords),
+                "visited": [self.text], **extra}
 
     # -- envelope handling ---------------------------------------------------
 
     def handle_forward(self, envelope: dict) -> dict:
-        """Entry point for a neighbor's envelope, one call per hop; walk legs skip `_handle`."""
+        """A neighbor's envelope, one call per hop: append this node to `visited`,
+        then visit a walk leg, answer at the target, or take the greedy step,
+        which refuses a target of another r with `DimensionMismatch`."""
         envelope["visited"].append(self.text)
         if envelope["op"] == "superset_visit":
             return self._superset_visit(envelope)
+        target = envelope["target"]
+        if target != self.text:
+            return self.transport.call(next_hop(self.id, _parse_id(target)), envelope)
         return self._handle(envelope)
 
     def _handle(self, env: dict) -> dict:
-        """Forward a routed envelope one greedy step, or answer it at its target.
-
-        Reads the trusted `target` with `_parse_id`; refuses an unknown op at the target.
-        """
+        """Answer a routed envelope at its target, wrapping its trusted `keywords`
+        list as is; at the entry node, take `handle_forward`'s first step."""
         target = env["target"]
         if target != self.text:
             return self.transport.call(next_hop(self.id, _parse_id(target)), env)
@@ -167,44 +173,52 @@ class LogicalNode:
         if op == "ping":
             return {"status": "ok", "node": self.text,
                     "hops": len(visited) - 1, "visited": visited}
-        if op == "insert":
-            self.state.insert(ObjectRecord(env["cid"], KeywordSet(env["keywords"])), self.id)
-            return {"status": "stored", "node": self.text}
-        if op == "remove":
-            found = self.state.remove(ObjectRecord(env["cid"], KeywordSet(env["keywords"])))
-            return {"status": "removed" if found else "not_found", "node": self.text}
-        if op == "pin":
-            cids = sorted(self.state.pin_lookup(KeywordSet(env["keywords"]), self.id))
-            return {"cids": cids, "hops": len(visited) - 1, "visited": visited}
-        if op == "superset":
-            # This envelope roots the tree walk. The responsible node is already
-            # on the visited list, so the root visit must not append it again.
-            env["collected"] = []
-            visit = self._superset_visit(env)
+        if op == "superset":  # the root visit: this node is on `visited` already
+            visit = self._superset_visit({"op": "superset_visit", "target": target,
+                                          "keywords": env["keywords"], "limit": env["limit"],
+                                          "collected": [], "visited": visited})
             visited = visit["visited"]
             return {"cids": visit["cids"], "hops": len(visited) - 1, "visited": visited}
-        raise KeycubeError(f"unknown op {op!r}")
+        if op not in ("insert", "remove", "pin"):
+            raise KeycubeError(f"unknown op {op!r}")
+        keywords = tuple.__new__(KeywordSet, env["keywords"])
+        if op == "pin":
+            cids = sorted(self.state.pin_lookup(keywords, self.id))
+            return {"cids": cids, "hops": len(visited) - 1, "visited": visited}
+        record = ObjectRecord(env["cid"], keywords)
+        if op == "insert":
+            self.state.insert(record, self.id)
+            return {"status": "stored", "node": self.text}
+        found = self.state.remove(record)
+        return {"status": "removed" if found else "not_found", "node": self.text}
 
     def _superset_visit(self, env: dict) -> dict:
-        """Visit one tree node: collect locally, then descend while short.
+        """Visit one tree node: check it lies in the region, collect locally,
+        then descend while short.
 
         `target` is the walk root, whose bits are the query's. `collected` is
         every cid found so far, so duplicates across nodes are dropped. The
         reply holds only what this subtree added: its new cids and its
         visited segment, which starts at `env["visited"]`.
         """
-        query_bits = _parse_id(env["target"])
+        root = _parse_id(env["target"])
+        (r, value), (root_r, query_value) = self.id, root
+        if root_r != r:
+            raise DimensionMismatch(f"r={r} vs r={root_r}")
+        if value & query_value != query_value:
+            raise NotInSupersetRegion(f"node {self.text} is outside the superset region "
+                                      f"of {env['target']}")
         limit = env["limit"]
         collected: list[str] = env["collected"]  # the handler's own copy: extended in place
         found_before = len(collected)
         visited = env["visited"]
 
-        # Local cap `limit` is enough even with cross-node duplicate cids:
-        # if this node alone holds >= limit matches, the union reaches the
-        # quota here; otherwise nothing local was truncated. The set only
-        # answers membership; the order is the list's.
-        local = self.state.superset_lookup(env["keywords"], query_bits, limit)
-        if local:
+        # Most nodes of a sparse cube hold nothing, and are not asked. Local cap
+        # `limit` is enough even with cross-node duplicate cids: if this node
+        # alone holds >= limit matches, the union reaches the quota here;
+        # otherwise nothing local was truncated. The set only answers
+        # membership; the order is the list's.
+        if self._entries and (local := self.state.superset_lookup(env["keywords"], root, limit)):
             seen = set(collected)
             for cid in local:
                 if len(collected) >= limit:
@@ -213,16 +227,17 @@ class LogicalNode:
                     seen.add(cid)
                     collected.append(cid)
 
-        # `superset_lookup` has refused a node outside the region. A leaf builds no leg.
-        if len(collected) < limit and (children := _covered_children(self.id, query_bits)):
-            # One leg for all children; its `collected` grows as replies come back.
-            leg = {"op": "superset_visit", "target": env["target"],
-                   "keywords": env["keywords"], "limit": limit,
-                   "collected": collected, "visited": []}
+        # A leaf builds no leg. The children are stepped lowest bit first.
+        if len(collected) < limit and (bits := _child_bits(r, value, query_value)):
+            # `env`, this visit's own walk leg, becomes the one leg for all its
+            # children, with a new path; its `collected` grows as replies come back.
+            env["visited"] = []
             call = self.transport.call
-            for child in children:
+            while bits:
+                bit = bits & -bits
+                bits ^= bit
                 try:
-                    reply = call(child, leg)
+                    reply = call(tuple.__new__(NodeId, (r, value | bit)), env)
                 except RoutingFailure as exc:
                     exc.visited = visited + exc.visited  # the whole path walked
                     raise

@@ -20,7 +20,9 @@ A keyword set is a `KeywordSet`: a tuple of its sorted, distinct words,
 each an exact `str`. Node tables are keyed and sorted by it, so its
 hashing and ordering are the tuple's own. `KeywordSet(ks)` returns `ks`
 itself, which makes the constructor the one conversion every entry point
-calls. With its words and `r` checked, `node_for_keywords` hashes each
+calls. A target node wraps the canonical list its envelope was routed by
+with `tuple.__new__(KeywordSet, words)`, as derived ids skip `NodeId`'s
+checks. With its words and `r` checked, `node_for_keywords` hashes each
 word in line under the default hash and range-checks only a custom one.
 
 Each keyword's SHA-256 prefix and each parsed id are computed once and
@@ -43,6 +45,7 @@ from .errors import (
 )
 
 MAX_DIMENSION = 32
+_STR = frozenset({str})
 
 HashFn = Callable[[str, int], int]
 
@@ -118,6 +121,8 @@ class KeywordSet(tuple):
     with it, and both transports must accept the same sets. As a tuple it
     hashes, compares, sorts and pickles in C, and equals the plain tuple of
     its words. `KeywordSet(ks) is ks`, so callers convert without checking.
+    The words are checked in C, all at once; only a refused set is walked
+    word by word, to name its first offender in the `InvalidKeyword`.
     """
 
     __slots__ = ()
@@ -128,10 +133,13 @@ class KeywordSet(tuple):
         if isinstance(words, str):
             raise InvalidKeyword(f"keywords must be a collection, not the string {words!r}")
         words = tuple(words)  # a one-shot iterable is read once
-        for w in words:  # every entry is checked before any is hashed
-            if type(w) is not str or not w or "," in w:  # a str subclass is refused too
-                raise InvalidKeyword(f"keyword must be a non-empty string without ',', got {w!r}")
-        return super().__new__(cls, sorted(set(words)))
+        # Every entry is checked before any is hashed, in C: each is an exact
+        # `str` (a subclass is refused too), none is empty, none holds ",".
+        if not (_STR.issuperset(map(type, words)) and "" not in words
+                and "," not in "".join(words)):
+            bad = next(w for w in words if type(w) is not str or not w or "," in w)
+            raise InvalidKeyword(f"keyword must be a non-empty string without ',', got {bad!r}")
+        return tuple.__new__(cls, sorted(set(words)))
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -233,36 +241,29 @@ def next_hop(current: NodeId, target: NodeId) -> NodeId:
     return tuple.__new__(NodeId, (r, value ^ (diff & -diff)))
 
 
-def _covered_children(node: NodeId, query: NodeId) -> list[NodeId]:
-    """Children of `node` in the spanning tree over bit-supersets of `query`.
+def _child_bits(r: int, value: int, query_value: int) -> int:
+    """The spanning tree rule over the bit-supersets of a query: the bits that
+    the tree children of node `value` each set, one child per bit.
 
-    Positions not set in the query are free. A child sets one more free
-    bit, restricted to free positions strictly below the lowest free bit
-    already set in `node` (all free positions when it has none). Walking
-    the tree from the query id itself visits every bit-superset exactly
-    once: the free bits of any superset must be added in descending order,
-    which is a unique path. The caller has checked that `node` covers `query`.
+    Positions not set in the query are free. A child sets one more free bit,
+    restricted to free positions strictly below the lowest free bit already
+    set in the node (all free positions when it has none). Walking the tree
+    from the query id itself visits every bit-superset exactly once: the free
+    bits of any superset must be added in descending order, which is a unique
+    path. The node must cover the query, so a position clear in it is free.
     """
-    r, value = node
-    free_set = value & ~query[1]
-    ceiling = free_set & -free_set if free_set else 1 << r
-    # `node` covers `query`, so a position clear in `node` is free.
-    clear = ~value & (ceiling - 1)
-    children = []
-    while clear:  # lowest position first
-        bit = clear & -clear
-        children.append(tuple.__new__(NodeId, (r, value | bit)))
-        clear ^= bit
-    return children
+    free_set = value & ~query_value
+    return ~value & ((free_set & -free_set or 1 << r) - 1)
 
 
 def superset_region(query: NodeId) -> Iterator[NodeId]:
-    """All bit-supersets of `query`, in spanning tree depth-first order.
-
-    Every node the walk reaches covers `query` by construction.
+    """All bit-supersets of `query`, in spanning tree depth-first order,
+    the order of an exhaustive walk: each node's children lowest bit first.
     """
-    stack = [query]
+    r, query_value = query
+    stack = [query_value]
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(_covered_children(node, query)))
+        value = stack.pop()
+        yield tuple.__new__(NodeId, (r, value))
+        bits = _child_bits(r, value, query_value)  # pushed highest first, popped lowest first
+        stack += [value | 1 << i for i in reversed(range(r)) if bits >> i & 1]

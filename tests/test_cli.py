@@ -1,17 +1,17 @@
 import base64
 import itertools
 import json
+import select
 import signal
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
 from keycube import cli
 from keycube.cli import main
-from keycube.errors import ContentNotFound, RoutingFailure
+from keycube.errors import ContentNotFound
 from keycube.network import TRANSPORT_WIRE, NetworkConfig, NodeClient, build_network
 from keycube.topology import NodeId, node_for_keywords
 
@@ -350,25 +350,36 @@ def test_experiment_negative_objects_usage_error(capsys):
 
 # --- serve (subprocess) ------------------------------------------------------------
 
-def start_serve(*argv):
-    return subprocess.Popen([sys.executable, "-m", "keycube.cli", "serve", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+def start_serve(size, *argv):
+    """Start `serve` with `argv` on a free block of `size` ports, and return it with
+    its base port once it prints its `serving` line, as the CI step waits for it.
+
+    Another bind can take a port between the probe and serve's own bind: serve
+    then exits 1, and the next free block is tried. Any other exit fails the
+    test with serve's exit code and stderr.
+    """
+    failures = []
+    for _ in range(5):
+        base = free_port_block(size)
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "keycube.cli", "serve", *argv, "--base-port", str(base)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        if (select.select([proc.stdout], [], [], 10)[0]
+                and proc.stdout.readline().startswith(b"serving")):
+            return proc, base
+        if proc.poll() is None:  # no line within 10 s
+            proc.kill()
+        _, err = proc.communicate(timeout=10)  # also closes the pipes
+        failures.append(f"serve on {base} exited {proc.returncode}: {err.decode()!r}")
+        if proc.returncode != 1:  # 1: a port of this block was taken
+            break
+    pytest.fail("; ".join(failures))
 
 
 def test_serve_all_hosts_every_node():
-    base = free_port_block(4)
-    proc = start_serve("--r", "2", "--all", "--base-port", str(base))
+    proc, base = start_serve(4, "--r", "2", "--all")
     try:
-        deadline = time.time() + 10
-        infos = {}
-        while time.time() < deadline and len(infos) < 4:
-            for offset in range(4):
-                if offset in infos:
-                    continue
-                try:
-                    infos[offset] = NodeClient(url(base, offset)).info()
-                except RoutingFailure:
-                    time.sleep(0.1)
+        infos = {offset: NodeClient(url(base, offset)).info() for offset in range(4)}
         assert len(infos) == 4
         assert infos[3]["id"] == "11"
         assert len(infos[0]["neighbors"]) == 2
@@ -379,16 +390,9 @@ def test_serve_all_hosts_every_node():
 
 
 def test_serve_single_node():
-    base = free_port_block(8)
-    proc = start_serve("--r", "3", "--node-id", "010", "--base-port", str(base))
+    proc, base = start_serve(8, "--r", "3", "--node-id", "010")
     try:
-        deadline = time.time() + 10
-        info = None
-        while time.time() < deadline and info is None:
-            try:
-                info = NodeClient(url(base, 2)).info()
-            except RoutingFailure:
-                time.sleep(0.1)
+        info = NodeClient(url(base, 2)).info()
         assert info == {"id": "010", "r": 3, "neighbors": ["000", "110", "011"]}
     finally:
         proc.send_signal(signal.SIGTERM)

@@ -747,6 +747,41 @@ def test_forged_envelope_is_bad_request(wire_net, case):
     assert_bad_request(resp)
 
 
+# A `keywords` list that is a set but not in canonical form: the target takes
+# the list as its set without sorting it, so the decode refuses it.
+NON_CANONICAL_KEYWORDS = {"unsorted": lambda words: sorted(words, reverse=True),
+                          "duplicated": lambda words: words + words[:1]}
+CANONICAL_CHECK_ENVELOPES = {
+    "insert": {"op": "insert", "target": "111", "cid": "cid-canon", "visited": []},
+    "pin": {"op": "pin", "target": "111", "visited": []},
+    "superset": {"op": "superset", "target": "111", "limit": 5, "visited": []},
+    "superset_visit": {"op": "superset_visit", "target": "111", "limit": 5,
+                       "collected": [], "visited": []},
+}
+
+
+@pytest.mark.parametrize("words", sorted(NON_CANONICAL_KEYWORDS))
+@pytest.mark.parametrize("op", sorted(CANONICAL_CHECK_ENVELOPES))
+def test_non_canonical_keywords_are_refused_and_the_connection_stays_open(wire_net, op, words):
+    def forward(keywords):
+        body = json.dumps({**CANONICAL_CHECK_ENVELOPES[op], "keywords": keywords}).encode()
+        sock.sendall(b"POST /internal/forward HTTP/1.1\r\nHost: x\r\n"
+                     b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+        lines, reply = read_reply(sock)
+        return lines[0], json.loads(reply)
+
+    with socket.create_connection(("127.0.0.1", wire_net.cfg.port_of(NodeId.parse("111"))),
+                                  timeout=5) as sock:
+        status, reply = forward(NON_CANONICAL_KEYWORDS[words](KEYS_AT_111))
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert reply["error"] == "BadRequest" and "not sorted and distinct" in reply["detail"]
+        status, reply = forward(KEYS_AT_111)  # the same set, canonical, on the same connection
+        assert status == "HTTP/1.1 200 OK", reply
+    assert wire_net.pin_search(NodeId.parse("000"), KEYS_AT_111).cids == (
+        ("cid-canon",) if op == "insert" else ())
+    wire_net.remove("cid-canon", KEYS_AT_111)
+
+
 # Envelopes over a budget that honest routing keeps: a path of at most r=3
 # hops, so at most 3 visited entries on arrival, and no more collected cids
 # than the limit.

@@ -22,7 +22,7 @@ from keycube.topology import (
     keyword_bit,
     neighbors,
     next_hop,
-    _covered_children,
+    _child_bits,
     node_for_keywords,
     superset_region,
 )
@@ -123,6 +123,19 @@ class _Word(str):
 def test_keyword_set_rejects_an_entry_that_is_not_a_string(words):
     with pytest.raises(InvalidKeyword):
         KeywordSet(words)
+
+
+@pytest.mark.parametrize("words,offender", [
+    (["a", 1, ""], "1"),
+    (["a", _Word("x"), 1], "'x'"),
+    (["a", "", "b,c"], "''"),
+    (["a", "b,c", 1], "'b,c'"),
+], ids=["not a string", "str subclass", "empty", "comma"])
+def test_keyword_set_refusal_names_the_first_offender(words, offender):
+    # The words are checked in C first; only a refused set is walked word by word.
+    with pytest.raises(InvalidKeyword) as err:
+        KeywordSet(words)
+    assert str(err.value) == f"keyword must be a non-empty string without ',', got {offender}"
 
 
 def test_keyword_set_is_immutable():
@@ -375,22 +388,34 @@ def test_greedy_walk_length_is_hamming_everywhere(r):
         assert steps == hamming_distance(a, b)
 
 
-# --- _covered_children --------------------------------------------------------------
+# --- _child_bits -------------------------------------------------------------------
+
+def children(node: NodeId, query: NodeId) -> list[str]:
+    """The texts of `node`'s tree children, lowest bit first, as the walk steps them."""
+    bits, out = _child_bits(node.r, node.value, query.value), []
+    while bits:
+        bit = bits & -bits
+        out.append(NodeId(node.r, node.value | bit).text)
+        bits ^= bit
+    return out
+
 
 def test_full_node_has_no_children():
     full = NodeId.parse("111111")
-    assert _covered_children(full, full) == []
+    assert _child_bits(6, full.value, full.value) == 0
 
 
 def test_children_of_empty_query_root():
     root = NodeId.parse("0000")
-    kids = _covered_children(root, root)
-    assert [k.text for k in kids] == ["1000", "0100", "0010", "0001"]
+    assert children(root, root) == ["1000", "0100", "0010", "0001"]
 
 
 def test_children_of_worked_example_root():
     q = NodeId.parse("001001")
-    assert len(_covered_children(q, q)) == 4  # free positions 0, 1, 3, 4
+    assert children(q, q) == ["101001", "011001", "001101", "001011"]  # free 0, 1, 3, 4
+    # Below the root, only free positions under the lowest free bit set: 011001 sets 1.
+    assert children(NodeId.parse("011001"), q) == ["111001"]
+    assert children(NodeId.parse("101001"), q) == []
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
