@@ -30,12 +30,6 @@ class NotInSupersetRegion(KeycubeError):
     """A node outside the bit-superset region of a query was asked to act in it."""
 
 
-# --- index node -----------------------------------------------------------
-
-class NotResponsible(KeycubeError):
-    """A record or lookup landed on a node that does not own its keyword set."""
-
-
 # --- network / routing ----------------------------------------------------
 
 class RoutingFailure(KeycubeError):
@@ -151,7 +145,6 @@ _WIRE_CODES: dict[str, type[Exception]] = {
         DimensionMismatch,
         AlreadyAtTarget,
         NotInSupersetRegion,
-        NotResponsible,
         RoutingFailure,
         BootstrapError,
         BadRequest,

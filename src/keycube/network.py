@@ -98,6 +98,8 @@ class NetworkConfig:
         check_dimension(self.r)
         if self.transport not in (TRANSPORT_IN_PROCESS, TRANSPORT_WIRE):
             raise ValueError(f"unknown transport {self.transport!r}")
+        if type(self.base_port) is not int:
+            raise ValueError(f"base_port must be an int, got {self.base_port!r}")
         last = self.base_port + (1 << self.r) - 1
         if self.transport == TRANSPORT_WIRE and not (1 <= self.base_port and last <= 65535):
             raise ValueError(f"wire ports {self.base_port}..{last} are not all in 1..65535")
@@ -570,7 +572,7 @@ def _envelope(raw: bytes, state: NodeState) -> dict:
     the only record of the hop count: greedy routing fixes one bit per hop
     and each node on the way appends itself, so a routed envelope arrives
     with at most r entries. A walk leg's `collected` never holds more than
-    its `limit`.
+    its `limit`, which is at least 1.
     """
     env = _check_fields(_json_object(raw), {"op": str, "visited": list})
     op = env["op"]
@@ -586,6 +588,8 @@ def _envelope(raw: bytes, state: NodeState) -> dict:
             raise BadRequest(f"every entry of {key!r} must be a string")
     if op != "superset_visit" and len(env["visited"]) > state.r:
         raise BadRequest(f"{len(env['visited'])} visited entries exceed r={state.r}")
+    if "limit" in fields and env["limit"] < 1:
+        raise BadRequest(f"superset limit must be >= 1, got {env['limit']}")
     if op == "superset_visit" and len(env["collected"]) > env["limit"]:
         raise BadRequest(f"{len(env['collected'])} collected cids exceed limit {env['limit']}")
     try:  # every op declares a target
@@ -895,23 +899,29 @@ def build_network(cfg: NetworkConfig) -> Network:
 def experiment_keywords(r: int, hash_fn: HashFn = keyword_bit) -> list[str]:
     """Synthetic keyword universe of KEYWORDS_PER_POSITION * r distinct strings.
 
-    Candidates kw0000, kw0001, ... are screened by their hashed position
-    until every position owns exactly `KEYWORDS_PER_POSITION` words, so
-    random keyword sets can reach the whole id space.
+    Candidates kw0000 .. kw9999 are screened by their hashed position until
+    every position owns exactly `KEYWORDS_PER_POSITION` words, so random
+    keyword sets can reach the whole id space. A position outside 0..r-1,
+    or one still short after kw9999, raises `ValueError`.
     """
     check_dimension(r)
-    buckets: dict[int, list[str]] = {i: [] for i in range(r)}
+    buckets: list[list[str]] = [[] for _ in range(r)]
     filled = 0
-    i = 0
-    while filled < r:
+    for i in range(10_000):
         word = f"kw{i:04d}"
-        i += 1
-        bucket = buckets[hash_fn(word, r)]
+        position = hash_fn(word, r)
+        if not 0 <= position < r:
+            raise ValueError(f"hash_fn put {word!r} at bit position {position}, not in 0..{r - 1}")
+        bucket = buckets[position]
         if len(bucket) < KEYWORDS_PER_POSITION:
             bucket.append(word)
             if len(bucket) == KEYWORDS_PER_POSITION:
                 filled += 1
-    return sorted(word for bucket in buckets.values() for word in bucket)
+                if filled == r:
+                    return sorted(word for bucket in buckets for word in bucket)
+    short = [i for i, bucket in enumerate(buckets) if len(bucket) < KEYWORDS_PER_POSITION]
+    raise ValueError(f"kw0000..kw9999 leave bit positions {short} with fewer than "
+                     f"{KEYWORDS_PER_POSITION} words")
 
 
 def random_keyset(rng: random.Random, universe: list[str], r: int) -> KeywordSet:

@@ -12,8 +12,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DimensionMismatch, NotInSupersetRegion, NotResponsible
-from .topology import HashFn, KeywordSet, NodeId, keyword_bit, node_for_keywords
+from .topology import HashFn, KeywordSet, NodeId, keyword_bit
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,9 @@ class NodeState:
 
     All table access goes through an internal lock, so one node's state
     may be shared by concurrent request handlers; mutations are serialized
-    per node. Forwarding decisions never hold the lock.
+    per node. Forwarding decisions never hold the lock. The table trusts
+    its caller: routing brought the op to the node that owns its keywords,
+    or to a node of the query's superset region, and nothing checks it again.
     """
 
     def __init__(self, node_id: NodeId, hash_fn: HashFn = keyword_bit):
@@ -44,19 +45,8 @@ class NodeState:
         self._entries: dict[KeywordSet, set[str]] = {}
         self._lock = threading.Lock()
 
-    def _check_owner(self, keywords: KeywordSet, bits: NodeId | None) -> None:
-        if bits is None:
-            bits = node_for_keywords(keywords, self.r, self.hash_fn)
-        if bits != self.id:
-            raise NotResponsible(f"node {self.id.text} does not own keyword set {list(keywords)}")
-
-    def insert(self, record: ObjectRecord, bits: NodeId | None = None) -> None:
-        """Store a record. Idempotent; the node must own the keyword set.
-
-        `bits` is the set's id if the caller has it (a routed insert passes its
-        target) and is only compared with `self.id`; else the keywords are hashed.
-        """
-        self._check_owner(record.keywords, bits)
+    def insert(self, record: ObjectRecord) -> None:
+        """Store a record. Idempotent; the caller has routed it to the owner of its keywords."""
         with self._lock:
             self._entries.setdefault(record.keywords, set()).add(record.cid)
 
@@ -71,30 +61,20 @@ class NodeState:
                 del self._entries[record.keywords]
             return True
 
-    def pin_lookup(self, keywords: KeywordSet, bits: NodeId | None = None) -> set[str]:
-        """Cids stored under exactly this keyword set; ownership is checked as in `insert`."""
-        self._check_owner(keywords, bits)
+    def pin_lookup(self, keywords: KeywordSet) -> set[str]:
+        """Cids stored under exactly this keyword set, which the caller routed here."""
         with self._lock:
             return set(self._entries.get(keywords, ()))
 
-    def superset_lookup(self, keywords: Iterable[str], query_bits: NodeId,
-                        limit: int) -> list[str]:
+    def superset_lookup(self, keywords: Iterable[str], limit: int) -> list[str]:
         """Up to `limit` cids whose keyword set includes `keywords`.
 
         `keywords` are the query's words, already checked where the query
         entered: a KeywordSet or, from the walk, the envelope's list as is.
-        `query_bits` is `node_for_keywords(keywords)`, hashed once per query
-        and carried by the walk. Deterministic selection: entries sorted by
+        The walk visit that calls this has checked that the node lies in the
+        query's superset region. Deterministic selection: entries sorted by
         canonical keyword set, cids in byte order within an entry.
         """
-        r, value = self.id
-        query_r, query_value = query_bits
-        if r != query_r:
-            raise DimensionMismatch(f"r={r} vs r={query_r}")
-        if value & query_value != query_value:
-            raise NotInSupersetRegion(
-                f"node {self.id.text} is outside the superset region of {query_bits.text}"
-            )
         out: list[str] = []
         if limit <= 0 or not self._entries:  # most nodes of a sparse cube hold nothing
             return out

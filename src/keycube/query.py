@@ -17,7 +17,7 @@ min(limit, cids found) and an exhaustive walk is not linear in its hops.
 A query's keywords are made a `KeywordSet` and hashed to its target id
 once, where it enters; its envelope lists them in that canonical order.
 The target trusts both: it wraps the list as a `KeywordSet` without
-sorting it again, and passes its own id to `NodeState` as their bits.
+sorting it again, and `NodeState` checks no ownership of its own.
 Every walk leg carries the root's id, so no node hashes them again. On the
 wire, the decode in `network` is the one ownership check: `target` has r
 bits and, where the op declares keywords, their list is canonical and
@@ -27,9 +27,9 @@ bits and, where the op declares keywords, their list is canonical and
 Each hop is one `handle_forward` call, which takes a routed envelope's
 greedy step itself and calls `_handle` only at the target; `_handle` also
 takes the entry node's first step, and refuses an unknown op in process.
-A walk visit checks its own r and region, asks its table only if the node
-holds entries, and steps its children's bits (the tree rule
-`topology._child_bits`) in line. A client reply is checked once, where
+A walk visit checks its own r and region, the one region check, asks its
+table only if the node holds entries, and steps its children's bits (the
+tree rule `topology._child_bits`) in line. A client reply is checked once, where
 `QueryResult.from_reply` reads it: one C-level exact-`str` pass over each
 of its lists, its `hops` against the length of its path, then `_parse_id`
 on each id.
@@ -183,11 +183,11 @@ class LogicalNode:
             raise KeycubeError(f"unknown op {op!r}")
         keywords = tuple.__new__(KeywordSet, env["keywords"])
         if op == "pin":
-            cids = sorted(self.state.pin_lookup(keywords, self.id))
+            cids = sorted(self.state.pin_lookup(keywords))
             return {"cids": cids, "hops": len(visited) - 1, "visited": visited}
         record = ObjectRecord(env["cid"], keywords)
         if op == "insert":
-            self.state.insert(record, self.id)
+            self.state.insert(record)
             return {"status": "stored", "node": self.text}
         found = self.state.remove(record)
         return {"status": "removed" if found else "not_found", "node": self.text}
@@ -201,8 +201,7 @@ class LogicalNode:
         reply holds only what this subtree added: its new cids and its
         visited segment, which starts at `env["visited"]`.
         """
-        root = _parse_id(env["target"])
-        (r, value), (root_r, query_value) = self.id, root
+        (r, value), (root_r, query_value) = self.id, _parse_id(env["target"])
         if root_r != r:
             raise DimensionMismatch(f"r={r} vs r={root_r}")
         if value & query_value != query_value:
@@ -218,7 +217,7 @@ class LogicalNode:
         # alone holds >= limit matches, the union reaches the quota here;
         # otherwise nothing local was truncated. The set only answers
         # membership; the order is the list's.
-        if self._entries and (local := self.state.superset_lookup(env["keywords"], root, limit)):
+        if self._entries and (local := self.state.superset_lookup(env["keywords"], limit)):
             seen = set(collected)
             for cid in local:
                 if len(collected) >= limit:

@@ -31,6 +31,7 @@ from keycube.errors import (
 )
 from keycube.network import (
     MAX_BODY_BYTES,
+    TRANSPORT_IN_PROCESS,
     TRANSPORT_WIRE,
     WIRE_TIMEOUT,
     Network,
@@ -126,6 +127,16 @@ def test_wire_port_block_past_the_port_range_is_refused_before_any_bind(r, base_
     threads = set(threading.enumerate())
     with pytest.raises(ValueError, match="1..65535"):
         build_network(NetworkConfig(r=r, transport=TRANSPORT_WIRE, base_port=base_port))
+    assert set(threading.enumerate()) <= threads  # no node server was started
+
+
+@pytest.mark.parametrize("transport", [TRANSPORT_WIRE, TRANSPORT_IN_PROCESS])
+@pytest.mark.parametrize("base_port", [True, 24000.0, "24000", None])
+def test_base_port_that_is_not_an_int_is_refused_before_any_bind(base_port, transport):
+    # True would bind ports 1..4; a float or a string would escape as TypeError.
+    threads = set(threading.enumerate())
+    with pytest.raises(ValueError, match="base_port must be an int"):
+        build_network(NetworkConfig(r=2, transport=transport, base_port=base_port))
     assert set(threading.enumerate()) <= threads  # no node server was started
 
 
@@ -246,6 +257,19 @@ def test_experiment_keywords_cover_all_positions():
         assert len(set(universe)) == 4 * r
         positions = {keyword_bit(w, r) for w in universe}
         assert positions == set(range(r))
+
+
+@pytest.mark.parametrize("position,match", [
+    (0, r"positions \[1, 2\] with fewer than 4 words"),  # no word ever lands on 1 or 2
+    (3, "position 3, not in 0..2"),
+    (-1, "position -1, not in 0..2"),
+])
+def test_experiment_keywords_refuse_a_hash_that_cannot_fill_every_position(position, match):
+    hash_fn = lambda word, r: position
+    with pytest.raises(ValueError, match=match):
+        experiment_keywords(3, hash_fn)
+    with pytest.raises(ValueError, match=match):  # before the first insert
+        populate(make_net(3, hash_fn=hash_fn), 5, seed=1)
 
 
 # --- wire endpoints ----------------------------------------------------------------
@@ -783,8 +807,8 @@ def test_non_canonical_keywords_are_refused_and_the_connection_stays_open(wire_n
 
 
 # Envelopes over a budget that honest routing keeps: a path of at most r=3
-# hops, so at most 3 visited entries on arrival, and no more collected cids
-# than the limit.
+# hops, so at most 3 visited entries on arrival, a limit of at least 1, and
+# no more collected cids than the limit.
 OVER_BUDGET_ENVELOPES = {
     "pin, hops above r": {"op": "pin", "target": "100", "keywords": KEYS_AT_100,
                           "visited": ["000", "001", "011", "111"]},
@@ -796,6 +820,13 @@ OVER_BUDGET_ENVELOPES = {
     "superset_visit, collected over limit": {"op": "superset_visit", "target": "100",
                                              "keywords": KEYS_AT_100, "limit": 2,
                                              "collected": ["a", "b", "c"], "visited": []},
+    "superset, limit 0": {"op": "superset", "target": "100", "keywords": KEYS_AT_100,
+                          "limit": 0, "visited": []},
+    "superset, limit -3": {"op": "superset", "target": "100", "keywords": KEYS_AT_100,
+                           "limit": -3, "visited": []},
+    "superset_visit, limit 0": {"op": "superset_visit", "target": "100",
+                                "keywords": KEYS_AT_100, "limit": 0,
+                                "collected": [], "visited": []},
 }
 
 

@@ -1,14 +1,8 @@
 import pytest
 
-from keycube.errors import DimensionMismatch, NotInSupersetRegion, NotResponsible
+from keycube.network import NetworkConfig, build_network
 from keycube.node import NodeState, ObjectRecord
 from keycube.topology import KeywordSet, NodeId, node_for_keywords
-
-
-def superset_lookup(node, words, limit):
-    """`node.superset_lookup` with the query bits hashed as a walk root would."""
-    return node.superset_lookup(
-        KeywordSet(words), node_for_keywords(words, node.r, node.hash_fn), limit)
 
 
 @pytest.fixture
@@ -28,12 +22,6 @@ def test_insert_is_idempotent(rome_node):
     rome_node.insert(record)
     rome_node.insert(record)
     assert rome_node.cid_count() == 1
-
-
-def test_insert_rejected_off_owner(wiki_hash):
-    zero = NodeState(NodeId.parse("000000"), hash_fn=wiki_hash)
-    with pytest.raises(NotResponsible):
-        zero.insert(ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"]))
 
 
 def test_remove_inverts_insert(rome_node):
@@ -60,40 +48,14 @@ def test_pin_lookup_unused_keyset_is_empty(rome_node):
     assert rome_node.pin_lookup(KeywordSet(["Wikipedia", "Rome"])) == set()
 
 
-def test_pin_lookup_requires_ownership(rome_node):
-    with pytest.raises(NotResponsible):
-        rome_node.pin_lookup(KeywordSet(["Wikipedia"]))
-
-
-# Without `bits` the direct API hashes the keywords itself (tested by
-# test_insert_rejected_off_owner and test_pin_lookup_requires_ownership);
-# with `bits` it checks only that they are the node's id.
-@pytest.mark.parametrize("words,bits", [
-    (["Wikipedia", "Rome"], NodeId.parse("001000")),  # own keywords, foreign bits
-    (["Wikipedia"], NodeId.parse("001000")),          # foreign keywords and their bits
-])
-def test_insert_and_pin_lookup_refuse_a_foreign_id(rome_node, words, bits):
-    with pytest.raises(NotResponsible):
-        rome_node.insert(ObjectRecord("cid-x", words), bits)
-    with pytest.raises(NotResponsible):
-        rome_node.pin_lookup(KeywordSet(words), bits)
-    assert rome_node.entry_count() == 0
-
-
-def test_insert_and_pin_lookup_accept_the_node_id_as_bits(rome_node):
-    rome_node.insert(ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"]), rome_node.id)
-    assert rome_node.pin_lookup(KeywordSet(["Wikipedia", "Rome"]), rome_node.id) == {
-        "cid-rome-wiki"}
-
-
 @pytest.mark.parametrize("position", [6, 7, 64, -1])
-def test_hash_position_out_of_range_is_value_error(rome_node, position):
+def test_hash_position_out_of_range_is_value_error(position):
     bad_hash = lambda kw, r: position if kw == "bad" else 0
     with pytest.raises(ValueError):
         node_for_keywords(["ok", "bad"], 6, bad_hash)
-    rome_node.hash_fn = bad_hash
-    with pytest.raises(ValueError):
-        rome_node.insert(ObjectRecord("cid-x", ["bad"]))
+    net = build_network(NetworkConfig(r=6, hash_fn=bad_hash))
+    with pytest.raises(ValueError):  # where the insert enters, before any node stores it
+        net.insert("cid-x", ["bad"])
 
 
 def test_colliding_keysets_stay_separate():
@@ -113,12 +75,12 @@ def test_superset_lookup_includes_keyword_supersets(wiki_hash):
     owner = node_for_keywords(["Wikipedia", "Rome", "PoI"], 6, wiki_hash)
     node = NodeState(owner, hash_fn=wiki_hash)
     node.insert(ObjectRecord("cid-rome-poi", ["Wikipedia", "Rome", "PoI"]))
-    assert superset_lookup(node, ["Wikipedia", "Rome"], 10) == ["cid-rome-poi"]
+    assert node.superset_lookup(KeywordSet(["Wikipedia", "Rome"]), 10) == ["cid-rome-poi"]
 
 
 def test_superset_lookup_limit_zero(rome_node):
     rome_node.insert(ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"]))
-    assert superset_lookup(rome_node, ["Wikipedia", "Rome"], 0) == []
+    assert rome_node.superset_lookup(KeywordSet(["Wikipedia", "Rome"]), 0) == []
 
 
 def test_superset_lookup_truncates_deterministically(wiki_hash):
@@ -126,7 +88,7 @@ def test_superset_lookup_truncates_deterministically(wiki_hash):
     for cid in ("cid-e", "cid-c", "cid-a", "cid-d", "cid-b"):
         node.insert(ObjectRecord(cid, ["Wikipedia", "Rome"]))
     # One entry, five cids: byte order then cut at three.
-    assert superset_lookup(node, ["Wikipedia", "Rome"], 3) == [
+    assert node.superset_lookup(KeywordSet(["Wikipedia", "Rome"]), 3) == [
         "cid-a", "cid-b", "cid-c"]
 
 
@@ -135,17 +97,7 @@ def test_superset_lookup_orders_entries_by_keyset():
     node = NodeState(NodeId.parse("100"), hash_fn=hash_fn)
     node.insert(ObjectRecord("cid-late", ["b"]))
     node.insert(ObjectRecord("cid-early", ["a"]))
-    assert superset_lookup(node, [], 10) == ["cid-early", "cid-late"]
-
-
-def test_superset_lookup_outside_region_rejected(rome_node):
-    with pytest.raises(NotInSupersetRegion):
-        superset_lookup(rome_node, ["Bologna"], 10)
-
-
-def test_superset_lookup_of_another_dimension_rejected(rome_node):
-    with pytest.raises(DimensionMismatch):
-        rome_node.superset_lookup(KeywordSet([]), NodeId.parse("001"), 10)
+    assert node.superset_lookup(KeywordSet([]), 10) == ["cid-early", "cid-late"]
 
 
 class _Cid(str):
