@@ -135,15 +135,19 @@ def cmd_serve(args, parser) -> int:
     try:
         cfg = NetworkConfig(r=args.r, transport=TRANSPORT_WIRE,
                             host=args.host, base_port=args.base_port)
-        if args.all:
+        node_id = None if args.all else NodeId.parse(args.node_id)
+        if node_id is not None and node_id.r != args.r:
+            parser.error(f"--node-id {args.node_id!r} does not have {args.r} bits")
+        # Both handlers go in before any bind: once serving, a signal ends in `close`.
+        stop = threading.Event()
+        signal.signal(signal.SIGINT, lambda *_: stop.set())
+        signal.signal(signal.SIGTERM, lambda *_: stop.set())
+        if node_id is None:
             close = build_network(cfg).close
             print(f"serving {1 << args.r} nodes on "
                   f"{args.host}:{args.base_port}..{args.base_port + (1 << args.r) - 1}")
         else:
-            node_id = NodeId.parse(args.node_id)
-            if node_id.r != args.r:
-                parser.error(f"--node-id {args.node_id!r} does not have {args.r} bits")
-            node = LogicalNode(NodeState(node_id, cfg.hash_fn), WireTransport(cfg))
+            node = LogicalNode(NodeState(node_id), WireTransport(cfg), cfg.hash_fn)
             _, close = start_node_server(cfg, [node])
             print(f"serving node {node_id.text} on {cfg.address_of(node_id)}")
     except BootstrapError as exc:
@@ -152,9 +156,6 @@ def cmd_serve(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    stop = threading.Event()
-    signal.signal(signal.SIGINT, lambda *_: stop.set())
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
     stop.wait()
     close()
     return 0

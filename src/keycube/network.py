@@ -70,9 +70,9 @@ from .topology import (
     HashFn,
     KeywordSet,
     NodeId,
+    _keyset_value,
     check_dimension,
     keyword_bit,
-    node_for_keywords,
 )
 
 TRANSPORT_IN_PROCESS = "in-process"
@@ -133,13 +133,15 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 def _copy(x):
     """What `json.loads(json.dumps(x))` gives, without the text in between.
 
-    Scalars pass through; lists and tuples become new lists and dicts new
-    dicts. Stricter than `json.dumps`: a dict key must be a `str`, not
-    coerced to one, and only these exact types are accepted. Anything else
-    raises `TypeError`. `Network` runs it once on each client reply.
+    Scalars pass through; lists and tuples become new lists, and dicts new
+    dicts, in one C-level pass when flat. Stricter than `json.dumps`: a dict
+    key must be a `str`, not coerced to one, and only these exact types are
+    accepted; anything else raises `TypeError`. Run once on each client reply.
     """
     kind = type(x)
     if kind is dict:
+        if _SCALARS.issuperset(map(type, x.values())) and _STR.issuperset(map(type, x)):
+            return x.copy()
         out = {}
         for key, value in x.items():
             if type(key) is not str:
@@ -561,7 +563,7 @@ def _record(raw: bytes) -> tuple[str, KeywordSet]:
     return body["cid"], KeywordSet(body["keywords"])
 
 
-def _envelope(raw: bytes, state: NodeState) -> dict:
+def _envelope(raw: bytes, node: LogicalNode) -> dict:
     """Decode an envelope, checking its op, fields, target and budgets so handlers can trust it.
 
     An unknown op or a field the op does not declare is refused. Where the op
@@ -575,7 +577,7 @@ def _envelope(raw: bytes, state: NodeState) -> dict:
     its `limit`, which is at least 1.
     """
     env = _check_fields(_json_object(raw), {"op": str, "visited": list})
-    op = env["op"]
+    r, op = node.id.r, env["op"]
     fields = ENVELOPE_FIELDS.get(op)
     if fields is None:
         raise BadRequest(f"unknown op {op!r}")
@@ -586,8 +588,8 @@ def _envelope(raw: bytes, state: NodeState) -> dict:
     for key in ("visited", "collected") if op == "superset_visit" else ("visited",):
         if not _STR.issuperset(map(type, env[key])):
             raise BadRequest(f"every entry of {key!r} must be a string")
-    if op != "superset_visit" and len(env["visited"]) > state.r:
-        raise BadRequest(f"{len(env['visited'])} visited entries exceed r={state.r}")
+    if op != "superset_visit" and len(env["visited"]) > r:
+        raise BadRequest(f"{len(env['visited'])} visited entries exceed r={r}")
     if "limit" in fields and env["limit"] < 1:
         raise BadRequest(f"superset limit must be >= 1, got {env['limit']}")
     if op == "superset_visit" and len(env["collected"]) > env["limit"]:
@@ -596,13 +598,13 @@ def _envelope(raw: bytes, state: NodeState) -> dict:
         target = NodeId.parse(env["target"])
     except ValueError as exc:
         raise BadRequest(f"bad target: {exc}") from None
-    if target.r != state.r:
-        raise BadRequest(f"target {target.text} does not have r={state.r} bits")
+    if target.r != r:
+        raise BadRequest(f"target {target.text} does not have r={r} bits")
     if "keywords" in fields:
         keywords = KeywordSet(env["keywords"])
         if keywords != tuple(env["keywords"]):  # the target takes the list as a set as is
             raise BadRequest(f"keywords {env['keywords']!r} are not sorted and distinct")
-        if target != node_for_keywords(keywords, state.r, state.hash_fn):
+        if target.value != _keyset_value(keywords, r, node.hash_fn):
             raise BadRequest(f"target {target.text} is not the id of {env['keywords']!r}")
     return env
 
@@ -629,7 +631,7 @@ _ROUTES = {
     ("POST", "/insert"): lambda node, params, raw: node.client_insert(*_record(raw)),
     ("POST", "/remove"): lambda node, params, raw: node.client_remove(*_record(raw)),
     ("POST", "/internal/forward"):
-        lambda node, params, raw: node.handle_forward(_envelope(raw, node.state)),
+        lambda node, params, raw: node.handle_forward(_envelope(raw, node)),
 }
 
 
@@ -888,7 +890,7 @@ def build_network(cfg: NetworkConfig) -> Network:
     transport = WireTransport(cfg) if wire else InProcessTransport(nodes)
     for value in range(1 << cfg.r):
         node_id = NodeId(cfg.r, value)
-        nodes[node_id] = LogicalNode(NodeState(node_id, cfg.hash_fn), transport)
+        nodes[node_id] = LogicalNode(NodeState(node_id), transport, cfg.hash_fn)
     if not wire:
         return Network(cfg, nodes)
     return Network(cfg, nodes, *start_node_server(cfg, nodes.values()))
@@ -939,10 +941,8 @@ def populate(net: Network, count: int, seed: int) -> list[ObjectRecord]:
     r = net.cfg.r
     universe = experiment_keywords(r, hash_fn=net.cfg.hash_fn)
     inserted = []
-    for i in range(count):
-        keywords = random_keyset(rng, universe, r)
-        start = NodeId(r, rng.randrange(1 << r))
-        record = ObjectRecord(f"obj-{i:05d}", keywords)
-        net.insert(record.cid, record.keywords, start=start)
+    for i in range(count):  # the words are drawn before the start node
+        record = ObjectRecord(f"obj-{i:05d}", random_keyset(rng, universe, r))
+        net.insert(record.cid, record.keywords, start=NodeId(r, rng.randrange(1 << r)))
         inserted.append(record)
     return inserted

@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .topology import HashFn, KeywordSet, NodeId, keyword_bit
+from .topology import KeywordSet, NodeId
 
 
 @dataclass(frozen=True)
@@ -38,27 +38,25 @@ class NodeState:
     or to a node of the query's superset region, and nothing checks it again.
     """
 
-    def __init__(self, node_id: NodeId, hash_fn: HashFn = keyword_bit):
+    def __init__(self, node_id: NodeId):
         self.id = node_id
-        self.r = node_id.r
-        self.hash_fn = hash_fn
         self._entries: dict[KeywordSet, set[str]] = {}
         self._lock = threading.Lock()
 
-    def insert(self, record: ObjectRecord) -> None:
-        """Store a record. Idempotent; the caller has routed it to the owner of its keywords."""
+    def insert(self, keywords: KeywordSet, cid: str) -> None:
+        """Store the routed op's `cid` under its `keywords`, both checked. Idempotent."""
         with self._lock:
-            self._entries.setdefault(record.keywords, set()).add(record.cid)
+            self._entries.setdefault(keywords, set()).add(cid)
 
-    def remove(self, record: ObjectRecord) -> bool:
-        """Drop a record. Returns False (and changes nothing) when absent."""
+    def remove(self, keywords: KeywordSet, cid: str) -> bool:
+        """Drop `cid` from `keywords`, as `insert` takes them; False (and no change) if absent."""
         with self._lock:
-            cids = self._entries.get(record.keywords)
-            if cids is None or record.cid not in cids:
+            cids = self._entries.get(keywords)
+            if cids is None or cid not in cids:
                 return False
-            cids.discard(record.cid)
+            cids.discard(cid)
             if not cids:
-                del self._entries[record.keywords]
+                del self._entries[keywords]
             return True
 
     def pin_lookup(self, keywords: KeywordSet) -> set[str]:

@@ -14,10 +14,10 @@ and visited segment, which the parent appends. Every walk leg still
 carries `collected`, every cid found so far, so a leg's cost grows with
 min(limit, cids found) and an exhaustive walk is not linear in its hops.
 
-A query's keywords are made a `KeywordSet` and hashed to its target id
-once, where it enters; its envelope lists them in that canonical order.
-The target trusts both: it wraps the list as a `KeywordSet` without
-sorting it again, and `NodeState` checks no ownership of its own.
+A query's keywords are made a `KeywordSet` and hashed to its target id's
+text once, where it enters; its envelope lists them in that canonical order.
+The target wraps the list as a `KeywordSet` as is, checks a write's cid in
+line, and hands both to `NodeState`, which checks no ownership of its own.
 Every walk leg carries the root's id, so no node hashes them again. On the
 wire, the decode in `network` is the one ownership check: `target` has r
 bits and, where the op declares keywords, their list is canonical and
@@ -41,16 +41,17 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from .errors import DimensionMismatch, KeycubeError, NotInSupersetRegion, RoutingFailure
-from .node import NodeState, ObjectRecord
+from .node import NodeState
 from .topology import (
     _STR,
+    HashFn,
     KeywordSet,
     NodeId,
     _child_bits,
+    _keyset_value,
     _parse_id,
     neighbors,
     next_hop,
-    node_for_keywords,
 )
 
 # JSON type of each field an envelope must carry besides "op" and "visited".
@@ -107,11 +108,12 @@ class Transport(Protocol):
 
 
 class LogicalNode:
-    """Envelope handler bound to one node's state and a transport."""
+    """Envelope handler bound to one node's state, a transport and the hash it routes by."""
 
-    def __init__(self, state: NodeState, transport: Transport):
+    def __init__(self, state: NodeState, transport: Transport, hash_fn: HashFn):
         self.state = state
         self.transport = transport
+        self.hash_fn = hash_fn
         self.id = state.id
         self.text = state.id.text  # computed once: every leg appends or compares it
         self._entries = state._entries  # the node's table, read here only for emptiness
@@ -136,16 +138,15 @@ class LogicalNode:
         return self._handle({"op": "ping", "target": target.text, "visited": [self.text]})
 
     def info(self) -> dict:
-        return {
-            "id": self.text,
-            "r": self.state.r,
-            "neighbors": [n.text for n in sorted(neighbors(self.id))],
-        }
+        return {"id": self.text, "r": self.id.r,
+                "neighbors": [n.text for n in sorted(neighbors(self.id))]}
 
     def _routed_envelope(self, op: str, keywords: KeywordSet, **extra) -> dict:
-        keywords = KeywordSet(keywords)  # canonical here: the target wraps the list as is
-        target = node_for_keywords(keywords, self.state.r, self.state.hash_fn)
-        return {"op": op, "target": target.text, "keywords": list(keywords),
+        if type(keywords) is not KeywordSet:  # canonical here: the target wraps the list as is
+            keywords = KeywordSet(keywords)
+        r = self.id.r  # the text of `node_for_keywords`' id, with no checks made again
+        target = format(_keyset_value(keywords, r, self.hash_fn), f"0{r}b")[::-1]
+        return {"op": op, "target": target, "keywords": list(keywords),
                 "visited": [self.text], **extra}
 
     # -- envelope handling ---------------------------------------------------
@@ -163,13 +164,12 @@ class LogicalNode:
         return self._handle(envelope)
 
     def _handle(self, env: dict) -> dict:
-        """Answer a routed envelope at its target, wrapping its trusted `keywords`
-        list as is; at the entry node, take `handle_forward`'s first step."""
+        """Answer a routed envelope at its target, wrapping its trusted `keywords` list
+        as is and checking a write's cid; at the entry, take `handle_forward`'s first step."""
         target = env["target"]
         if target != self.text:
             return self.transport.call(next_hop(self.id, _parse_id(target)), env)
-        op = env["op"]
-        visited = env["visited"]
+        op, visited = env["op"], env["visited"]
         if op == "ping":
             return {"status": "ok", "node": self.text,
                     "hops": len(visited) - 1, "visited": visited}
@@ -185,11 +185,12 @@ class LogicalNode:
         if op == "pin":
             cids = sorted(self.state.pin_lookup(keywords))
             return {"cids": cids, "hops": len(visited) - 1, "visited": visited}
-        record = ObjectRecord(env["cid"], keywords)
+        if type(cid := env["cid"]) is not str or not cid:  # as `ObjectRecord` checks it
+            raise ValueError(f"cid must be a non-empty string, got {cid!r}")
         if op == "insert":
-            self.state.insert(record)
+            self.state.insert(keywords, cid)
             return {"status": "stored", "node": self.text}
-        found = self.state.remove(record)
+        found = self.state.remove(keywords, cid)
         return {"status": "removed" if found else "not_found", "node": self.text}
 
     def _superset_visit(self, env: dict) -> dict:

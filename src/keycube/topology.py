@@ -183,12 +183,8 @@ class TableHash:
         self.table = dict(table)
 
     def __call__(self, keyword: str, r: int) -> int:
-        if not isinstance(keyword, str) or not keyword:
-            raise InvalidKeyword(f"keyword must be a non-empty string, got {keyword!r}")
-        check_dimension(r)
-        if keyword in self.table:
-            return self.table[keyword] % r
-        return keyword_bit(keyword, r)
+        bit = keyword_bit(keyword, r)  # which checks the keyword and r first
+        return self.table[keyword] % r if keyword in self.table else bit
 
 
 def node_for_keywords(keywords: Iterable[str], r: int,
@@ -200,17 +196,21 @@ def node_for_keywords(keywords: Iterable[str], r: int,
     the same bit, so popcount(result) <= min(|keywords|, r).
     """
     check_dimension(r)
-    keywords = KeywordSet(keywords)
+    return tuple.__new__(NodeId, (r, _keyset_value(KeywordSet(keywords), r, hash_fn)))
+
+
+def _keyset_value(keywords: KeywordSet, r: int, hash_fn: HashFn) -> int:
+    """The value of `node_for_keywords`' id, for words and an r that are checked."""
     value = 0
-    if hash_fn is keyword_bit:  # the words and r are checked: hash each word in line
+    if hash_fn is keyword_bit:  # hash each word in line, with no range check
         for word in keywords:
             value |= 1 << _digest_prefix(word) % r
-        return tuple.__new__(NodeId, (r, value))
+        return value
     for word in keywords:
         value |= 1 << hash_fn(word, r)  # a negative position raises ValueError here
     if value >> r:
         raise ValueError(f"hash_fn returned a bit position >= r={r} for {list(keywords)}")
-    return tuple.__new__(NodeId, (r, value))
+    return value
 
 
 def neighbors(node: NodeId) -> list[NodeId]:

@@ -1,4 +1,5 @@
 import base64
+import functools
 import itertools
 import json
 import select
@@ -6,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -385,8 +387,8 @@ def test_serve_all_hosts_every_node():
         assert len(infos[0]["neighbors"]) == 2
     finally:
         proc.send_signal(signal.SIGTERM)
-        proc.communicate(timeout=10)  # also closes the pipes
-        assert proc.returncode == 0
+        _, err = proc.communicate(timeout=10)  # also closes the pipes
+        assert proc.returncode == 0, f"serve exited {proc.returncode}: {err.decode()!r}"
 
 
 def test_serve_single_node():
@@ -396,4 +398,32 @@ def test_serve_single_node():
         assert info == {"id": "010", "r": 3, "neighbors": ["000", "110", "011"]}
     finally:
         proc.send_signal(signal.SIGTERM)
-        proc.communicate(timeout=10)  # also closes the pipes
+        _, err = proc.communicate(timeout=10)  # also closes the pipes
+        assert proc.returncode == 0, f"serve exited {proc.returncode}: {err.decode()!r}"
+
+
+@pytest.mark.parametrize("argv", [["--r", "2", "--all"], ["--r", "2", "--node-id", "01"]])
+def test_serve_sets_both_signal_handlers_before_it_binds(argv, monkeypatch):
+    # A SIGTERM that comes as soon as the serving line is out must stop serve
+    # through `close`, not kill it with -15: both handlers are set before any bind.
+    events = []
+
+    def bind(cfg, nodes=None):
+        events.append("bind")
+        close = functools.partial(events.append, "close")
+        return SimpleNamespace(close=close) if nodes is None else ([], close)
+
+    class Stop:  # a `threading.Event` whose wait returns at once
+        def set(self):
+            pass
+
+        def wait(self):
+            events.append("wait")
+
+    monkeypatch.setattr(cli, "build_network", bind)
+    monkeypatch.setattr(cli, "start_node_server", bind)
+    monkeypatch.setattr(cli, "threading", SimpleNamespace(Event=Stop))
+    monkeypatch.setattr(cli.signal, "signal", lambda signum, handler: events.append(signum))
+    monkeypatch.setattr(cli, "print", lambda line: events.append(line.split()[0]), raising=False)
+    assert main(["serve", *argv, "--base-port", "9000"]) == 0
+    assert events == [signal.SIGINT, signal.SIGTERM, "bind", "serving", "wait", "close"]

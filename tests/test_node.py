@@ -6,12 +6,12 @@ from keycube.topology import KeywordSet, NodeId, node_for_keywords
 
 
 @pytest.fixture
-def rome_node(wiki_hash):
-    return NodeState(NodeId.parse("001001"), hash_fn=wiki_hash)
+def rome_node():
+    return NodeState(NodeId.parse("001001"))
 
 
 def test_insert_stores_under_exact_keyset(rome_node):
-    rome_node.insert(ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"]))
+    rome_node.insert(KeywordSet(["Wikipedia", "Rome"]), "cid-rome-wiki")
     assert rome_node.entry_count() == 1
     assert rome_node.cid_count() == 1
     assert rome_node.pin_lookup(KeywordSet(["Wikipedia", "Rome"])) == {"cid-rome-wiki"}
@@ -19,28 +19,28 @@ def test_insert_stores_under_exact_keyset(rome_node):
 
 def test_insert_is_idempotent(rome_node):
     record = ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"])
-    rome_node.insert(record)
-    rome_node.insert(record)
+    rome_node.insert(record.keywords, record.cid)
+    rome_node.insert(record.keywords, record.cid)
     assert rome_node.cid_count() == 1
 
 
 def test_remove_inverts_insert(rome_node):
     record = ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"])
-    rome_node.insert(record)
-    assert rome_node.remove(record) is True
+    rome_node.insert(record.keywords, record.cid)
+    assert rome_node.remove(record.keywords, record.cid) is True
     assert rome_node.entry_count() == 0
 
 
 def test_remove_missing_is_noop(rome_node):
     record = ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"])
-    assert rome_node.remove(record) is False
+    assert rome_node.remove(record.keywords, record.cid) is False
     assert rome_node.entry_count() == 0
 
 
 def test_remove_one_of_two_cids(rome_node):
-    rome_node.insert(ObjectRecord("cid-a", ["Wikipedia", "Rome"]))
-    rome_node.insert(ObjectRecord("cid-b", ["Wikipedia", "Rome"]))
-    rome_node.remove(ObjectRecord("cid-a", ["Wikipedia", "Rome"]))
+    rome_node.insert(KeywordSet(["Wikipedia", "Rome"]), "cid-a")
+    rome_node.insert(KeywordSet(["Wikipedia", "Rome"]), "cid-b")
+    rome_node.remove(KeywordSet(["Wikipedia", "Rome"]), "cid-a")
     assert rome_node.pin_lookup(KeywordSet(["Wikipedia", "Rome"])) == {"cid-b"}
 
 
@@ -63,40 +63,39 @@ def test_colliding_keysets_stay_separate():
     collide = {"x": 1, "y": 1, "z": 2}.get
     hash_fn = lambda kw, r: collide(kw, 0)
     owner = node_for_keywords(["x", "z"], 3, hash_fn)
-    node = NodeState(owner, hash_fn=hash_fn)
+    node = NodeState(owner)
     assert owner == node_for_keywords(["y", "z"], 3, hash_fn)
-    node.insert(ObjectRecord("cid-xz", ["x", "z"]))
-    node.insert(ObjectRecord("cid-yz", ["y", "z"]))
+    node.insert(KeywordSet(["x", "z"]), "cid-xz")
+    node.insert(KeywordSet(["y", "z"]), "cid-yz")
     assert node.pin_lookup(KeywordSet(["x", "z"])) == {"cid-xz"}
     assert node.pin_lookup(KeywordSet(["y", "z"])) == {"cid-yz"}
 
 
 def test_superset_lookup_includes_keyword_supersets(wiki_hash):
     owner = node_for_keywords(["Wikipedia", "Rome", "PoI"], 6, wiki_hash)
-    node = NodeState(owner, hash_fn=wiki_hash)
-    node.insert(ObjectRecord("cid-rome-poi", ["Wikipedia", "Rome", "PoI"]))
+    node = NodeState(owner)
+    node.insert(KeywordSet(["Wikipedia", "Rome", "PoI"]), "cid-rome-poi")
     assert node.superset_lookup(KeywordSet(["Wikipedia", "Rome"]), 10) == ["cid-rome-poi"]
 
 
 def test_superset_lookup_limit_zero(rome_node):
-    rome_node.insert(ObjectRecord("cid-rome-wiki", ["Wikipedia", "Rome"]))
+    rome_node.insert(KeywordSet(["Wikipedia", "Rome"]), "cid-rome-wiki")
     assert rome_node.superset_lookup(KeywordSet(["Wikipedia", "Rome"]), 0) == []
 
 
-def test_superset_lookup_truncates_deterministically(wiki_hash):
-    node = NodeState(NodeId.parse("001001"), hash_fn=wiki_hash)
+def test_superset_lookup_truncates_deterministically():
+    node = NodeState(NodeId.parse("001001"))
     for cid in ("cid-e", "cid-c", "cid-a", "cid-d", "cid-b"):
-        node.insert(ObjectRecord(cid, ["Wikipedia", "Rome"]))
+        node.insert(KeywordSet(["Wikipedia", "Rome"]), cid)
     # One entry, five cids: byte order then cut at three.
     assert node.superset_lookup(KeywordSet(["Wikipedia", "Rome"]), 3) == [
         "cid-a", "cid-b", "cid-c"]
 
 
 def test_superset_lookup_orders_entries_by_keyset():
-    hash_fn = lambda kw, r: 0
-    node = NodeState(NodeId.parse("100"), hash_fn=hash_fn)
-    node.insert(ObjectRecord("cid-late", ["b"]))
-    node.insert(ObjectRecord("cid-early", ["a"]))
+    node = NodeState(NodeId.parse("100"))
+    node.insert(KeywordSet(["b"]), "cid-late")
+    node.insert(KeywordSet(["a"]), "cid-early")
     assert node.superset_lookup(KeywordSet([]), 10) == ["cid-early", "cid-late"]
 
 
@@ -121,6 +120,6 @@ def test_pin_subset_of_superset(wiki_net):
 
 
 def test_records_snapshot(rome_node):
-    rome_node.insert(ObjectRecord("cid-b", ["Wikipedia", "Rome"]))
-    rome_node.insert(ObjectRecord("cid-a", ["Wikipedia", "Rome"]))
+    rome_node.insert(KeywordSet(["Wikipedia", "Rome"]), "cid-b")
+    rome_node.insert(KeywordSet(["Wikipedia", "Rome"]), "cid-a")
     assert [r.cid for r in rome_node.records()] == ["cid-a", "cid-b"]

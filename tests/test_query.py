@@ -426,11 +426,13 @@ def test_client_entries_make_a_plain_list_canonical_before_the_target_trusts_it(
     assert [*net.scan_records()] == []
 
 
-def _calls_per_hop(searches) -> float:
-    """Python-level calls per hop over `searches`, each run once before to warm the caches."""
-    for search in searches:
-        search()
-    calls = hops = 0
+def _calls(ops) -> tuple[int, list]:
+    """Python-level calls made by `ops`, each run once before to warm the caches,
+    and what they returned."""
+    for op in ops:
+        op()
+    calls = 0
+    results = []
 
     def count(frame, event, arg):
         nonlocal calls
@@ -439,23 +441,28 @@ def _calls_per_hop(searches) -> float:
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        for search in searches:
-            hops += search().hops
+        for op in ops:
+            results.append(op())
     finally:
         sys.setprofile(previous)
-    return calls / hops
+    return calls, results
+
+
+def _calls_per_hop(searches) -> float:
+    calls, results = _calls(searches)
+    return calls / sum(result.hops for result in results)
 
 
 def test_in_process_hops_stay_within_a_call_budget():
     # Every in-process hop is one leg, so a walk's or a pin's cost is set by the
-    # fixed calls per leg. r=12 as in the cube12 benchmark. On 3.10 to 3.13 both
-    # measure 4.42 and 6.49. A hop is the transport's call and `handle_forward`,
+    # fixed calls per leg. r=12 as in the cube12 benchmark. On 3.11 to 3.13 they
+    # measure 4.42 and 5.66. A hop is the transport's call and `handle_forward`,
     # which takes a routed step itself with `next_hop`. A walk visit adds
     # `_superset_visit`, which checks its region, asks its table only if the
     # node holds entries, and steps its children's bits from `_child_bits` in
     # line. Only the reply gets the strict recursive copy, once, at the client,
     # and a query's words are hashed and its reply's ids read without a call
-    # per entry.
+    # per entry. Writes are routed the same way; their fixed cost is pinned below.
     r = 12
     net = make_net(r)
     populate(net, 1000, seed=2021)
@@ -467,6 +474,17 @@ def test_in_process_hops_stay_within_a_call_budget():
                               random_keyset(rng, universe, r)) for _ in range(40)]
     assert _calls_per_hop(walks) <= 4.5
     assert _calls_per_hop(pins) <= 6.6
+    # A write's fixed cost, measured at 0 hops: 10 calls on 3.11 to 3.13. The
+    # client call, its words and start, the entry node's envelope with the words
+    # hashed once, the target's answer with its inline cid check, the table, and
+    # the reply's one flat copy; no `ObjectRecord` and no second hash.
+    keysets = [random_keyset(rng, universe, r) for _ in range(20)]
+    writes = [functools.partial(write, f"cid-budget-{i}", keywords,
+                                start=node_for_keywords(keywords, r))
+              for i, keywords in enumerate(keysets) for write in (net.insert, net.remove)]
+    calls, replies = _calls(writes)
+    assert [reply["status"] for reply in replies] == ["stored", "removed"] * len(keysets)
+    assert calls / len(writes) <= 10.5
 
 
 @pytest.mark.parametrize("start", ["110", "000"], ids=["at-target", "two-hops-away"])
