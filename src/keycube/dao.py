@@ -18,6 +18,11 @@ account's own locks, and `conserved()` sums only the balances, however
 many locks other accounts hold. The running total is audited against an
 independent reference ledger by the governance random walk (acceptance
 criterion 7).
+
+A scenario line is a handful of plain Python calls: membership and weight
+scan the account's locks in plain loops, with no generator frame per lock;
+a vote finds a repeat voter in each suggestion's own `votes` dict, with no
+voter set built; and the records are slotted dataclasses.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .errors import (
 TREASURY = "treasury"
 
 
-@dataclass
+@dataclass(slots=True)
 class Lock:
     id: int
     owner: str
@@ -58,7 +63,7 @@ class Lock:
     released: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Suggestion:
     id: int
     author: str
@@ -70,7 +75,7 @@ class Suggestion:
         return sum(self.votes.values())
 
 
-@dataclass
+@dataclass(slots=True)
 class Proposal:
     id: int
     proposer: str
@@ -153,7 +158,11 @@ class GovState:
 
     def is_member(self, account: str) -> bool:
         """Membership: at least one unreleased, unexpired lock."""
-        return any(lock.release_time > self.clock for lock in self._own_locks(account))
+        clock = self.clock
+        for lock in self._unreleased.get(account, {}).values():
+            if lock.release_time > clock:
+                return True
+        return False
 
     # -- proposals ------------------------------------------------------------
 
@@ -185,25 +194,38 @@ class GovState:
         return suggestion.id
 
     def vote(self, proposal_id: int, suggestion_id: int, voter: str) -> int:
-        """Record a vote; the weight is the stake locked past the debate end."""
+        """Record a vote; the weight is the stake locked past the debate end.
+
+        Of several refusals that apply, the first of ClosedProposal,
+        NotAMember, AlreadyVoted, UnknownSuggestion and NoVotingPower wins.
+        """
         proposal = self._proposal(proposal_id)
         if self.clock >= proposal.debate_end:
             raise ClosedProposal(f"proposal {proposal_id} debate is over")
         if not self.is_member(voter):
             raise NotAMember(f"{voter} holds no active lock")
-        if voter in proposal.voters():
-            raise AlreadyVoted(f"{voter} already voted on proposal {proposal_id}")
-        suggestion = self._suggestion(proposal, suggestion_id)
+        chosen = None
+        for suggestion in proposal.suggestions:
+            if voter in suggestion.votes:
+                raise AlreadyVoted(f"{voter} already voted on proposal {proposal_id}")
+            if suggestion.id == suggestion_id:
+                chosen = suggestion
+        if chosen is None:
+            raise UnknownSuggestion(
+                f"proposal {proposal.id} has no suggestion {suggestion_id}")
         weight = self.voting_weight(voter, proposal.debate_end)
         if weight <= 0:
             raise NoVotingPower(
                 f"{voter} has no lock held past debate end {proposal.debate_end}")
-        suggestion.votes[voter] = weight
+        chosen.votes[voter] = weight
         return weight
 
     def voting_weight(self, account: str, debate_end: int) -> int:
-        return sum(lock.amount for lock in self._own_locks(account)
-                   if lock.release_time > debate_end)
+        weight = 0
+        for lock in self._unreleased.get(account, {}).values():
+            if lock.release_time > debate_end:
+                weight += lock.amount
+        return weight
 
     def execute_proposal(self, proposal_id: int) -> int | None:
         """Close a proposal: pick the winning suggestion, enact any transfer.
@@ -222,8 +244,9 @@ class GovState:
         winner: int | None = None
         best = 0
         for suggestion in proposal.suggestions:
-            if suggestion.total_weight > best:
-                best = suggestion.total_weight
+            weight = suggestion.total_weight
+            if weight > best:
+                best = weight
                 winner = suggestion.id
         if winner is not None and proposal.transfer_to is not None:
             self.transfer(TREASURY, proposal.transfer_to, proposal.transfer_amount)
@@ -299,22 +322,11 @@ class GovState:
                 f"{account} holds {balance}, cannot cover {amount}")
         self.balances[account] = balance - amount
 
-    def _own_locks(self, account: str):
-        """The account's unreleased locks, expired or not."""
-        return self._unreleased.get(account, {}).values()
-
     def _proposal(self, proposal_id: int) -> Proposal:
         proposal = self.proposals.get(proposal_id)
         if proposal is None:
             raise UnknownProposal(f"no proposal {proposal_id}")
         return proposal
-
-    def _suggestion(self, proposal: Proposal, suggestion_id: int) -> Suggestion:
-        for suggestion in proposal.suggestions:
-            if suggestion.id == suggestion_id:
-                return suggestion
-        raise UnknownSuggestion(
-            f"proposal {proposal.id} has no suggestion {suggestion_id}")
 
 
 # -- scenario files ----------------------------------------------------------
@@ -372,7 +384,8 @@ def _apply_line(state: GovState, line: str) -> str:
         return f"lock -> id {lock_id}"
     if op == "release":
         (lock_id,) = args
-        state.release(int(lock_id))
+        lock_id = int(lock_id)
+        state.release(lock_id)
         return f"release -> lock {lock_id}"
     if op == "tick":
         (seconds,) = args
