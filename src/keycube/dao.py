@@ -87,12 +87,6 @@ class Proposal:
     transfer_to: str | None = None
     transfer_amount: int | None = None
 
-    def voters(self) -> set[str]:
-        out: set[str] = set()
-        for s in self.suggestions:
-            out.update(s.votes)
-        return out
-
 
 class GovState:
     """Token balances, locks, proposals and the logical clock."""

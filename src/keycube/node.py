@@ -65,25 +65,25 @@ class NodeState:
             return set(self._entries.get(keywords, ()))
 
     def superset_lookup(self, keywords: Iterable[str], limit: int) -> list[str]:
-        """Up to `limit` cids whose keyword set includes `keywords`.
+        """The first `limit` distinct cids whose keyword set includes `keywords`.
 
         `keywords` are the query's words, already checked where the query
         entered: a KeywordSet or, from the walk, the envelope's list as is.
         The walk visit that calls this has checked that the node lies in the
-        query's superset region. Deterministic selection: entries sorted by
-        canonical keyword set, cids in byte order within an entry.
+        query's superset region. Deterministic selection: matching entries
+        sorted by canonical keyword set, cids in byte order within an entry,
+        each cid kept where it first occurs. A limit below 1 gives `[]`.
         """
         out: list[str] = []
-        if limit <= 0 or not self._entries:  # most nodes of a sparse cube hold nothing
-            return out
+        seen: set[str] = set()
         with self._lock:
-            for entry_keywords in sorted(self._entries):
-                if not entry_keywords.issuperset(keywords):
-                    continue
+            for entry_keywords in sorted(filter(set(keywords).issubset, self._entries)):
                 for cid in sorted(self._entries[entry_keywords]):
-                    out.append(cid)
                     if len(out) >= limit:
                         return out
+                    if cid not in seen:
+                        seen.add(cid)
+                        out.append(cid)
         return out
 
     def records(self) -> Iterator[ObjectRecord]:

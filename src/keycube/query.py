@@ -213,19 +213,19 @@ class LogicalNode:
         found_before = len(collected)
         visited = env["visited"]
 
-        # Most nodes of a sparse cube hold nothing, and are not asked. Local cap
-        # `limit` is enough even with cross-node duplicate cids: if this node
-        # alone holds >= limit matches, the union reaches the quota here;
-        # otherwise nothing local was truncated. The set only answers
-        # membership; the order is the list's.
+        # Most nodes of a sparse cube hold nothing, and are not asked. The table
+        # returns its first `limit` distinct matches, so that local cap is
+        # enough even with cross-node duplicate cids: if this node alone holds
+        # >= limit matches, the union reaches the quota here; otherwise nothing
+        # local was truncated. Only cids already collected are dropped here;
+        # the set answers membership, the order is the list's.
         if self._entries and (local := self.state.superset_lookup(env["keywords"], limit)):
             seen = set(collected)
             for cid in local:
-                if len(collected) >= limit:
-                    break
                 if cid not in seen:
-                    seen.add(cid)
                     collected.append(cid)
+                    if len(collected) >= limit:
+                        break
 
         # A leaf builds no leg. The children are stepped lowest bit first.
         if len(collected) < limit and (bits := _child_bits(r, value, query_value)):

@@ -149,10 +149,6 @@ class KeywordSet(tuple):
     def __repr__(self) -> str:
         return f"KeywordSet({list(self)!r})"
 
-    def issuperset(self, words: Iterable[str]) -> bool:
-        """Whether every word in `words` (a KeywordSet or any iterable) is in this set."""
-        return set(self).issuperset(words)
-
 
 def keyword_bit(keyword: str, r: int) -> int:
     """Bit position in {0..r-1} assigned to a keyword.

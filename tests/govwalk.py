@@ -139,8 +139,9 @@ def run_walk(total_ops, seed, check_every=10):
                 continue
             pid = rng.choice(live)
             proposal = state.proposals[pid]
+            voted = {account for s in proposal.suggestions for account in s.votes}
             voters = [account for account in ref.members(state.clock)
-                      if account not in proposal.voters()
+                      if account not in voted
                       and ref.weight(account, proposal.debate_end) > 0]
             if not voters:
                 continue

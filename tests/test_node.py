@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from keycube.network import NetworkConfig, build_network
 from keycube.node import NodeState, ObjectRecord
@@ -81,6 +83,38 @@ def test_superset_lookup_includes_keyword_supersets(wiki_hash):
 def test_superset_lookup_limit_zero(rome_node):
     rome_node.insert(KeywordSet(["Wikipedia", "Rome"]), "cid-rome-wiki")
     assert rome_node.superset_lookup(KeywordSet(["Wikipedia", "Rome"]), 0) == []
+
+
+def _first_matches(table, query):
+    """Brute force: the cids of every entry of `table` (keysets to cids) that
+    includes `query`, entries and cids sorted, each kept where it first occurs."""
+    firsts = []
+    for keywords in sorted(table):
+        if set(query) <= set(keywords):
+            firsts += [cid for cid in sorted(table[keywords]) if cid not in firsts]
+    return firsts
+
+
+# A node's table holds every keyset hashed onto it, so any keysets of a small
+# universe may share one; few cids, so one recurs across entries.
+_SMALL_KEYSETS = st.frozensets(st.sampled_from("abc"), max_size=3).map(KeywordSet)
+_SMALL_TABLES = st.lists(st.tuples(_SMALL_KEYSETS, st.sampled_from(["c0", "c1", "c2", "c3"])),
+                         max_size=12)
+
+
+@given(_SMALL_TABLES, _SMALL_KEYSETS, st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 10**6]))
+def test_superset_lookup_matches_a_brute_force_reference(inserts, query, limit):
+    node = NodeState(NodeId.parse("000"))
+    table = {}
+    for keywords, cid in inserts:
+        node.insert(keywords, cid)
+        table.setdefault(keywords, set()).add(cid)
+    got = node.superset_lookup(query, limit)
+    firsts = _first_matches(table, query)
+    assert len(set(got)) == len(got)
+    assert set(got) <= set(firsts)
+    assert got == firsts[:len(got)]
+    assert len(got) == min(max(limit, 0), len(firsts))
 
 
 def test_superset_lookup_truncates_deterministically():
