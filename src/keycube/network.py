@@ -1,10 +1,12 @@
 """Complete 2**r-node networks over two interchangeable transports.
 
-The in-process transport dispatches envelopes by direct call. The callee gets
-its own copy of the envelope's dict and lists, whose values were checked where
-it was built; `Network` copies each reply once, at the client, with the strict
-`_copy`. So both transports move the same JSON payloads; results are identical
-by construction, not by luck. The wire transport gives every logical node an
+The in-process transport dispatches envelopes by direct call: a sender hands
+its envelope over and never reads it again, so the callee gets the very dict
+the wire would have sent as JSON, whose values were checked where it was built.
+`Network` reads each client reply as the entry node returns it, and
+`QueryResult.from_reply` checks a query reply the same way on both transports.
+So both transports move the same JSON payloads; results are identical by
+construction, not by luck. The wire transport gives every logical node an
 HTTP listener on its own OS port, and one thread accepts for all of a network's
 listeners; legs between nodes are POST /internal/forward.
 The two halves of the format sit side by side: `_ROUTES` turns each request
@@ -113,48 +115,13 @@ class NetworkConfig:
 
 
 class InProcessTransport:
-    """Direct dispatch: the envelope's dict and flat `str` lists copied in, the callee's reply out."""
+    """Direct dispatch: the envelope is handed over to the callee, whose reply comes back as is."""
 
     def __init__(self, nodes: dict[NodeId, LogicalNode]):
         self.nodes = nodes
 
     def call(self, target: NodeId, envelope: dict) -> dict:
-        leg = envelope.copy()
-        for key in _LIST_FIELDS.get(leg["op"], ("visited",)):  # a hand-built unknown op
-            leg[key] = list(leg[key])
-        return self.nodes[target].handle_forward(leg)
-
-
-_LIST_FIELDS = {op: ("visited", *(key for key, kind in fields.items() if kind is list))
-                for op, fields in ENVELOPE_FIELDS.items()}
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def _copy(x):
-    """What `json.loads(json.dumps(x))` gives, without the text in between.
-
-    Scalars pass through; lists and tuples become new lists, and dicts new
-    dicts, in one C-level pass when flat. Stricter than `json.dumps`: a dict
-    key must be a `str`, not coerced to one, and only these exact types are
-    accepted; anything else raises `TypeError`. Run once on each client reply.
-    """
-    kind = type(x)
-    if kind is dict:
-        if _SCALARS.issuperset(map(type, x.values())) and _STR.issuperset(map(type, x)):
-            return x.copy()
-        out = {}
-        for key, value in x.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out[key] = _copy(value)
-        return out
-    if kind is list or kind is tuple:
-        if _SCALARS.issuperset(map(type, x)):  # flat: one C-level copy
-            return list(x)
-        return [_copy(v) for v in x]
-    if kind in _SCALARS:
-        return x
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return self.nodes[target].handle_forward(envelope)
 
 
 class WireTransport:
@@ -802,7 +769,7 @@ class Network:
     Each client call goes to the start node's entry in `_entries`: the
     `LogicalNode` itself in process, or its `NodeClient` on the wire, so a
     query observed here exercises the same code path an external client
-    would. Either way `_call` copies the reply once.
+    would. Either way the entry's reply is returned, or read, as it is.
     """
 
     def __init__(self, cfg: NetworkConfig, nodes: dict[NodeId, LogicalNode],
@@ -823,21 +790,21 @@ class Network:
         keywords, start = KeywordSet(keywords), self._start(start)
         if type(cid) is not str:  # refused before any leg; the target checks the rest
             raise ValueError(f"cid must be a string, got {cid!r}")
-        return self._call(start, "client_insert", cid, keywords)
+        return self._entries[start].client_insert(cid, keywords)
 
     def remove(self, cid: str, keywords, start: NodeId | None = None) -> dict:
         keywords, start = KeywordSet(keywords), self._start(start)
         if type(cid) is not str:
             raise ValueError(f"cid must be a string, got {cid!r}")
-        return self._call(start, "client_remove", cid, keywords)
+        return self._entries[start].client_remove(cid, keywords)
 
     def pin_search(self, start: NodeId, keywords) -> QueryResult:
         keywords, start = KeywordSet(keywords), self._start(start)
-        return QueryResult.from_reply(self._call(start, "client_pin", keywords))
+        return QueryResult.from_reply(self._entries[start].client_pin(keywords))
 
     def superset_search(self, start: NodeId, keywords, limit: int) -> QueryResult:
         keywords, start = KeywordSet(keywords), self._start(start)
-        return QueryResult.from_reply(self._call(start, "client_superset", keywords, limit))
+        return QueryResult.from_reply(self._entries[start].client_superset(keywords, limit))
 
     def route(self, start: NodeId, target: NodeId) -> QueryResult:
         """Deliver a ping from start to target; measures pure routing cost."""
@@ -845,11 +812,8 @@ class Network:
         start = self._start(start)
         if start not in self.nodes:  # e.g. `Network(cfg, {})`, whose nodes are all remote
             raise RoutingFailure(f"node {start.text} is not in process, where a ping enters")
-        reply = _copy(self.nodes[start].client_ping(target))
+        reply = self.nodes[start].client_ping(target)
         return QueryResult((), reply["hops"], tuple(map(NodeId.parse, reply["visited"])))
-
-    def _call(self, start: NodeId, entry: str, *args) -> dict:
-        return _copy(getattr(self._entries[start], entry)(*args))  # the one copy of a reply
 
     def _start(self, start: NodeId | None) -> NodeId:
         """`start`, or node 0 when None; a start of another r is refused on either transport."""
@@ -943,6 +907,7 @@ def populate(net: Network, count: int, seed: int) -> list[ObjectRecord]:
     inserted = []
     for i in range(count):  # the words are drawn before the start node
         record = ObjectRecord(f"obj-{i:05d}", random_keyset(rng, universe, r))
-        net.insert(record.cid, record.keywords, start=NodeId(r, rng.randrange(1 << r)))
+        net.insert(record.cid, record.keywords,
+                   start=tuple.__new__(NodeId, (r, rng.randrange(1 << r))))  # below 2**r
         inserted.append(record)
     return inserted

@@ -96,12 +96,12 @@ class QueryResult:
 class Transport(Protocol):
     """Delivers an envelope to a node and returns that node's reply.
 
-    The callee must neither keep nor mutate the envelope it is given: a
-    walk node passes one leg dict to all its children in turn. Both
-    transports hand the callee its own copy: in process, of the dict and
-    its lists, which are flat lists of `str`. So an envelope holds only
-    JSON values where it is built. A caller neither keeps nor mutates a
-    reply, so in process it is copied once, strictly, at the client.
+    `call` is a handover: the sender never reads or reuses an envelope after
+    it, and the callee owns it, appending to its `visited` and, on a walk
+    leg, to its `collected`. So in process the envelope itself is handed
+    over, and a walk node builds a new leg for each child. An envelope holds
+    only JSON values where it is built, and the wire sends the same text.
+    A reply is the callee's too, and the caller reads it as it is.
     """
 
     def call(self, target: NodeId, envelope: dict) -> dict: ...
@@ -209,7 +209,7 @@ class LogicalNode:
             raise NotInSupersetRegion(f"node {self.text} is outside the superset region "
                                       f"of {env['target']}")
         limit = env["limit"]
-        collected: list[str] = env["collected"]  # the handler's own copy: extended in place
+        collected: list[str] = env["collected"]  # handed over with the leg: extended in place
         found_before = len(collected)
         visited = env["visited"]
 
@@ -227,17 +227,18 @@ class LogicalNode:
                     if len(collected) >= limit:
                         break
 
-        # A leaf builds no leg. The children are stepped lowest bit first.
+        # A leaf builds no leg. The children are stepped lowest bit first, each
+        # handed a leg of its own: a copy of `collected` as it stands and a new
+        # path. The keywords list is shared, as no node mutates it.
         if len(collected) < limit and (bits := _child_bits(r, value, query_value)):
-            # `env`, this visit's own walk leg, becomes the one leg for all its
-            # children, with a new path; its `collected` grows as replies come back.
-            env["visited"] = []
-            call = self.transport.call
+            target, keywords, call = env["target"], env["keywords"], self.transport.call
             while bits:
                 bit = bits & -bits
                 bits ^= bit
+                leg = {"op": "superset_visit", "target": target, "keywords": keywords,
+                       "limit": limit, "collected": collected.copy(), "visited": []}
                 try:
-                    reply = call(tuple.__new__(NodeId, (r, value | bit)), env)
+                    reply = call(tuple.__new__(NodeId, (r, value | bit)), leg)
                 except RoutingFailure as exc:
                     exc.visited = visited + exc.visited  # the whole path walked
                     raise

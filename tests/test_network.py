@@ -1,4 +1,3 @@
-import enum
 import functools
 import json
 import random
@@ -16,7 +15,7 @@ from urllib.parse import parse_qs, urlencode, urlsplit
 
 import pytest
 import requests
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keycube import network
@@ -39,7 +38,6 @@ from keycube.network import (
     NodeClient,
     WireTransport,
     _close_pooled,
-    _copy,
     _exchange,
     _NodeServer,
     _POOL,
@@ -1406,14 +1404,7 @@ def test_every_request_gets_one_whole_json_reply(fuzz_port, method, path, versio
             pass
 
 
-# --- in-process legs: a strict structural copy ----------------------------------------
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
-    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
-                   | st.dictionaries(st.text(), inner)),
-    max_leaves=40)
-
+# --- in-process legs: a handover ----------------------------------------------------
 
 def containers(value):
     """Every list, tuple and dict reachable from value, itself included."""
@@ -1424,36 +1415,9 @@ def containers(value):
     return []
 
 
-@given(json_values)
-@example(["a", 1, 2.5, True, None])  # flat: copied in one step
-@example(("a", 1))
-@settings(max_examples=300, deadline=None)
-def test_copy_is_the_json_round_trip_without_shared_objects(value):
-    copied = _copy(value)
-    assert copied == json.loads(json.dumps(value))
-    originals = {id(c) for c in containers(value)}
-    assert not any(id(c) in originals for c in containers(copied))
-
-
-class Level(enum.IntEnum):
-    LOW = 1
-
-
-class Text(str):
-    pass
-
-
-@pytest.mark.parametrize("value", [
-    {"a", "b"}, b"bytes", object(), {1: "a"}, {"visited": [{"nested": {2: 3}}]},
-    ["ok", {"bad": {"x"}}], ["a", Level.LOW], ("a", Text("b")), KeywordSet(["a"])],
-    ids=["set", "bytes", "object", "int key", "nested int key", "nested set",
-         "IntEnum in flat list", "str subclass in flat tuple", "KeywordSet"])
-def test_copy_rejects_what_json_does_not_carry(value):
-    with pytest.raises(TypeError):
-        _copy(value)
-
-
-def test_in_process_legs_share_no_objects(monkeypatch):
+def test_in_process_legs_are_handed_over(monkeypatch):
+    # A sender never reads an envelope after `call`, so in process the callee
+    # gets the very dict that was sent, and appends itself to its path.
     net = make_net(3)
     start, target = net.nodes[NodeId.parse("011")], net.nodes[NodeId.parse("111")]
     legs = []
@@ -1475,10 +1439,8 @@ def test_in_process_legs_share_no_objects(monkeypatch):
     net.pin_search(start.id, KEYS_AT_111)
     [(sent, received)] = legs  # one hop: 011 and 111 differ in one bit
     [(arrived, replied)] = handled
-    assert arrived is not sent and arrived["visited"] is not sent["visited"]
-    assert arrived["keywords"] is not sent["keywords"]
-    assert sent["visited"] == ["011"] and arrived["visited"] == ["011", "111"]
-    assert received is replied  # copied once, at the client, not at every hop
+    assert arrived is sent and arrived["visited"] == ["011", "111"]
+    assert received is replied
 
 
 CLIENT_ENTRIES = {  # each in-process client entry, called by `Network` with a start node
@@ -1492,27 +1454,15 @@ CLIENT_ENTRIES = {  # each in-process client entry, called by `Network` with a s
 
 @pytest.mark.parametrize("start", ["111", "000"], ids=["0 hops", "3 hops"])
 @pytest.mark.parametrize("entry", CLIENT_ENTRIES)
-def test_in_process_client_replies_are_copied_once_at_the_client(entry, start, monkeypatch):
+def test_in_process_client_replies_are_returned_as_built(entry, start, monkeypatch):
     net = make_net(3)
     node = net.nodes[NodeId.parse(start)]
-    returned, copies, sent, arrived = [], [], [], []
-    depth = 0
-    call, copy, send = getattr(node, entry), network._copy, node.transport.call
+    returned, sent, arrived = [], [], []
+    call, send = getattr(node, entry), node.transport.call
 
     def spy_entry(*args):
         returned.append(call(*args))
         return returned[-1]
-
-    def spy_copy(value):  # records outermost calls only: the copy recurses through this name
-        nonlocal depth
-        depth += 1
-        try:
-            copied = copy(value)
-        finally:
-            depth -= 1
-        if not depth:
-            copies.append((value, copied))
-        return copied
 
     def spy_send(target, envelope):
         sent.append(envelope)
@@ -1523,40 +1473,90 @@ def test_in_process_client_replies_are_copied_once_at_the_client(entry, start, m
         return handle(envelope)
 
     monkeypatch.setattr(node, entry, spy_entry)
-    monkeypatch.setattr(network, "_copy", spy_copy)
     monkeypatch.setattr(node.transport, "call", spy_send)  # the transport all nodes share
     for other in net.nodes.values():
         monkeypatch.setattr(other, "handle_forward",
                             functools.partial(spy_handle, other.handle_forward))
     result = CLIENT_ENTRIES[entry](net, node.id)
     [reply] = returned
-    [(value, copied)] = copies  # one strict copy per client call, of its reply
-    assert value is reply
-    assert copied == reply
-    assert not {id(c) for c in containers(copied)} & {id(c) for c in containers(reply)}
     if type(result) is dict:  # insert and remove return the reply itself
-        assert result is copied
-    # One leg per hop (node 111 is 0 or 3 legs away), each a new dict with new lists.
+        assert result is reply
+    else:
+        assert result.hops == reply["hops"]
+        assert [n.text for n in result.nodes_visited] == reply["visited"]
+    # One leg per hop (node 111 is 0 or 3 legs away), each the dict that was sent:
+    # a routed envelope is the entry's own, all the way to its target.
     assert len(arrived) == len(sent) == hamming_distance(node.id, NodeId.parse("111"))
-    for envelope, leg in zip(sent, arrived):
-        assert leg is not envelope
-        lists = [key for key, value in envelope.items() if type(value) is list]
-        assert "visited" in lists and all(leg[key] is not envelope[key] for key in lists)
+    assert all(leg is envelope for envelope, leg in zip(sent, arrived))
+    assert all(leg is arrived[0] for leg in arrived)
+
+
+def test_no_in_process_client_reply_shares_a_container_with_an_earlier_one(monkeypatch):
+    net = make_net(3)
+    replies = []  # kept alive, so no id is reused
+    for node in net.nodes.values():
+        for entry in CLIENT_ENTRIES:
+            def spy(*args, call=getattr(node, entry)):
+                replies.append(call(*args))
+                return replies[-1]
+
+            monkeypatch.setattr(node, entry, spy)
+    for start in net.node_ids:
+        for entry in ("client_insert", "client_pin", "client_superset", "client_ping",
+                      "client_pin", "client_remove", "client_superset"):
+            CLIENT_ENTRIES[entry](net, start)
+    assert len(replies) == 7 * 8
+    seen = set()
+    for reply in replies:
+        ids = {id(c) for c in containers(reply)}
+        assert not ids & seen
+        seen |= ids
+
+
+def test_sibling_walk_legs_are_distinct_dicts_with_their_own_lists(monkeypatch):
+    # The walk of region 1** on [key] from 000 sends a leg to 110, a sibling leg
+    # to 101, and from there one to 111. Each child owns its leg: `collected` is
+    # a copy of what was found when it was sent, and `visited` starts empty.
+    net = make_net(3)
+    key = next(word for word in experiment_keywords(3) if keyword_bit(word, 3) == 0)
+    for cid, value in (("at-100", 1), ("at-110", 3), ("at-111", 7)):
+        net.insert(cid, [word for word in KEYS_AT_111 if value >> keyword_bit(word, 3) & 1])
+    legs = []
+    call = net.nodes[NodeId.parse("000")].transport.call
+
+    def spy_call(target, envelope):
+        if envelope["op"] == "superset_visit":
+            legs.append((target.text, envelope, json.loads(json.dumps(envelope))))
+        return call(target, envelope)
+
+    monkeypatch.setattr(net.nodes[NodeId.parse("000")].transport, "call", spy_call)
+    result = net.superset_search(NodeId.parse("000"), [key], 10)
+    assert result.cids == ("at-100", "at-110", "at-111")
+    assert [(text, sent["collected"], sent["visited"]) for text, _, sent in legs] == [
+        ("110", ["at-100"], []), ("101", ["at-100", "at-110"], []),
+        ("111", ["at-100", "at-110"], [])]
+    for key_name in (None, "collected", "visited"):
+        objects = [leg if key_name is None else leg[key_name] for _, leg, _ in legs]
+        assert len({id(obj) for obj in objects}) == len(legs)
 
 
 @pytest.mark.parametrize("start", ["111", "000"], ids=["0 hops", "3 hops"])
 @pytest.mark.parametrize("entry", ["client_insert", "client_remove"])
 def test_a_bytes_cid_given_to_a_node_is_refused_at_its_target(entry, start):
     # `Network` refuses a non-`str` cid before any leg; a direct call to the node
-    # skips that check, and the target's `ObjectRecord` refuses it instead.
+    # skips that check, and the target's inline cid check refuses it instead.
     net = make_net(3)
     with pytest.raises(ValueError, match="cid must be a non-empty string"):
         getattr(net.nodes[NodeId.parse(start)], entry)(b"c", KeywordSet(KEYS_AT_111))
 
 
 @pytest.mark.parametrize("start", ["111", "000"], ids=["0 hops", "3 hops"])
-def test_a_reply_json_cannot_carry_raises_type_error_in_process(start, monkeypatch):
-    net = make_net(3)
+@pytest.mark.parametrize("transport", ["in-process", "wire"])
+def test_a_malformed_query_reply_raises_routing_failure(twin_nets, transport, start, monkeypatch):
+    # `QueryResult.from_reply` is the one check of a query reply: ids that are
+    # not `str`s in `visited` reach it as they are in process, and as JSON lists
+    # over the wire, and it refuses both alike.
+    net = twin_nets[transport]
     target = net.nodes[NodeId.parse("111")]
     handle = target._handle
 
@@ -1566,7 +1566,7 @@ def test_a_reply_json_cannot_carry_raises_type_error_in_process(start, monkeypat
         return reply
 
     monkeypatch.setattr(target, "_handle", bad_handle)
-    with pytest.raises(TypeError, match="NodeId"):
+    with pytest.raises(RoutingFailure, match="not a query reply"):
         net.pin_search(NodeId.parse(start), KEYS_AT_111)
 
 
@@ -1687,12 +1687,23 @@ def test_transports_agree_on_100_queries():
 
 
 def test_leg_envelopes_are_json_exact_and_match_across_transports(twin_nets, monkeypatch):
-    # In process, a leg copies only its envelope's dict and lists, so every value
-    # must already be JSON-exact where the envelope is built: each envelope that
-    # reaches `handle_forward` passes the strict copy and the JSON round trip, and
-    # the wire delivers the same JSON text in the same order. The walk of region
-    # 1** on [key] from 000 meets "leg-dup" at its root 100, drops it again at 110,
-    # and meets its limit 2 at 101.
+    # In process, a leg is the envelope itself, handed over, so every value must
+    # already be JSON-exact where the envelope is built: each envelope that
+    # reaches `handle_forward` is made of exact JSON types and survives the JSON
+    # round trip, and the wire delivers the same JSON text in the same order.
+    # The walk of region 1** on [key] from 000 meets "leg-dup" at its root 100,
+    # drops it again at 110, and meets its limit 2 at 101.
+    def json_exact(x):
+        """Dicts with `str` keys, lists, and exact `str`, `int`, `float`, `bool` or None:
+        stricter than the round trip, which takes a `str` subclass or an `IntEnum`."""
+        kind = type(x)
+        if kind is dict:
+            return all(type(k) is str and json_exact(v) for k, v in x.items())
+        if kind is list:
+            return all(map(json_exact, x))
+        return kind in (str, int, float, bool, type(None))
+
+    assert not any(map(json_exact, [[_Str("a")], {"k": KeywordSet(["a"])}, {1: "a"}]))
     universe = experiment_keywords(3)
     at = {bit: [word for word in universe if keyword_bit(word, 3) == bit] for bit in range(3)}
     key, start = at[0][0], NodeId.parse("000")
@@ -1712,7 +1723,7 @@ def test_leg_envelopes_are_json_exact_and_match_across_transports(twin_nets, mon
         for node in net.nodes.values():
             def spy(envelope, text=node.text, handle=node.handle_forward):
                 sent = json.dumps(envelope)  # before the node appends itself
-                exact = _copy(envelope) == envelope == json.loads(sent)
+                exact = json_exact(envelope) and envelope == json.loads(sent)
                 seen.append((text, sent, exact))
                 return handle(envelope)
 
@@ -1776,7 +1787,7 @@ def test_hops_are_the_path_length_and_no_leg_carries_them():
     call = net.nodes[NodeId(8, 0)].transport.call  # the transport all nodes share
 
     def recording_call(target, envelope):
-        sent = json.loads(json.dumps(envelope))  # the walk's leg dict changes later
+        sent = json.loads(json.dumps(envelope))  # the callee appends to the leg it is handed
         reply = call(target, envelope)
         legs.append((sent, reply))
         return reply
