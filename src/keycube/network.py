@@ -23,9 +23,10 @@ header parser, keeping only the fields the server reads, every request's
 body is read once, one table (`_ROUTES`) picks the node call by method
 and path, one place chooses each reply, and each reply goes out in one
 write. A head it refuses gets a JSON `BadRequest` reply. Each request
-that arrives is served on a thread started for it; between requests a
-connection waits, holding no thread, in the accept loop, which closes it
-once it has been idle for `WIRE_TIMEOUT`.
+that arrives is served on a thread started for it, which then re-arms
+its connection in the accept loop's epoll (Linux only) without waking the
+loop. There it waits, holding no thread, and is closed once it has been
+idle for `WIRE_TIMEOUT`.
 
 Per node, wire mode:
     POST /insert            {"cid": str, "keywords": [str]}
@@ -44,11 +45,9 @@ import logging
 import random
 import re
 import select
-import selectors
 import socket
 import threading
 import time
-from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass
 from http import HTTPStatus
@@ -259,27 +258,29 @@ def _exchange(host: str, port: int, method: str, path: str, body: dict | None = 
 
 
 class _NodeServer:
-    """One node's listener, and `hand_back`, the way to its accept loop from any thread."""
+    """One node's listener, with its accept loop's `park` and `close_parked`."""
 
     timeout = WIRE_TIMEOUT  # seconds a connection may stall in a request or sit parked
     closed = False  # set by the first `shutdown`: from then on no request is served
 
     def __init__(self, address: tuple[str, int], node: LogicalNode,
-                 hand_back: Callable[[_Connection | _NodeServer], None]):
+                 park: Callable[[_Connection], None],
+                 close_parked: Callable[[_NodeServer], None]):
         self.socket = socket.create_server(address)
         self.logical_node = node
-        self.hand_back = hand_back
+        self.park = park
+        self.close_parked = close_parked
         self._closing = threading.Lock()
 
     def shutdown(self) -> None:
-        """Stop serving for this node at once: close the listener, and have the
-        accept loop close this node's parked connections. Idempotent, from any thread."""
+        """Stop serving for this node at once: close the listener, then this node's
+        parked connections. Idempotent, from any thread."""
         with self._closing:
             if self.closed:
                 return
             self.closed = True
-        self.hand_back(self)  # before the close, so the loop never sees its fd reused
         self.socket.close()
+        self.close_parked(self)
 
 
 class _BadHead(Exception):
@@ -375,8 +376,8 @@ class _Connection:
     `handle` answers its requests, each with JSON, on a thread started when
     the connection was accepted or, parked in the accept loop, turned
     readable. It serves one request, then any a client pipelined that are
-    already in `buffer`, and then hands the connection back to be parked
-    again, or closes it.
+    already in `buffer`, and then closes the connection or, with the
+    server's `park`, re-arms it for its next request from its own thread.
 
     Each request takes the same steps, in one `try` whose handlers choose
     its one reply. `_read_head` reads its head; once the server has closed,
@@ -393,6 +394,8 @@ class _Connection:
     either. A connection stalled for the server's `timeout` seconds, or
     reset by the client, is closed unanswered and nothing is logged.
     """
+
+    watched = False  # set by the first `park`, which adds the socket to the loop's epoll
 
     def __init__(self, sock: socket.socket, server: _NodeServer):
         sock.settimeout(server.timeout)
@@ -442,7 +445,7 @@ class _Connection:
         if self.close_connection:
             self.close()
         else:
-            self.server.hand_back(self)
+            self.server.park(self)
 
     def _serve_one(self) -> None:
         self.close_connection = True
@@ -577,10 +580,9 @@ def _envelope(raw: bytes, node: LogicalNode) -> dict:
 
 
 def _limit(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadRequest(f"limit must be an integer, got {raw!r}") from None
+    if not (raw.isascii() and raw.isdigit()):  # as a Content-Length: no sign, space or "_"
+        raise BadRequest(f"limit must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _keywords(params: dict[str, list[str]]) -> KeywordSet:
@@ -627,8 +629,8 @@ class NodeClient:
         return self._send("GET", "/pin?" + urlencode({"keywords": ",".join(keywords)}))
 
     def client_superset(self, keywords: KeywordSet, limit: int) -> dict:
-        if type(limit) is not int:  # its text would be read as some other limit, or refused
-            raise ValueError(f"superset limit must be an integer, got {limit!r}")
+        if type(limit) is not int or limit < 0:  # its text would be misread, or a BadRequest
+            raise ValueError(f"superset limit must be an integer >= 1, got {limit!r}")
         query = urlencode({"keywords": ",".join(keywords), "limit": str(limit)})
         return self._send("GET", "/superset?" + query)
 
@@ -647,67 +649,65 @@ def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
                       ) -> tuple[list[_NodeServer], Callable[[], None]]:
     """Bind every node's wire address, then accept for them all on one thread.
 
-    A failed bind closes the listeners bound so far and raises
-    `BootstrapError` before the thread starts. The thread, the only one
-    that touches its selector, watches the listeners, the read end of a
-    wake-up `socketpair` and the parked connections. A connection accepted
-    on a listener (an accept racing a close fails with an `OSError` that is
-    ignored) or parked and turned readable goes to `serve`, the one place a
-    handler thread starts; if none can, the connection is closed and the
-    loop goes on. A connection parked for its server's `timeout` is closed.
-    Other threads queue to the loop through `hand_back`, with a wake-up
-    byte: a connection to park, or a server whose `shutdown` has the loop
-    drop its listener and close its parked connections. Returns the servers
-    in `nodes` order and `stop_servers`, which closes the wake-up socket and
-    joins the loop. As it ends, the loop closes the pooled client sockets
-    to its ports, then what is still parked, then every listener. So no
-    handler thread starts to read the end of a stream the pool closed.
+    Without Linux's `select.epoll`, or on a failed bind (which closes the
+    listeners bound so far), this raises `BootstrapError` before the thread
+    starts. Its epoll watches the listeners, the read end of a `socketpair`
+    and the parked connections. A connection accepted on a listener (an
+    accept racing a close fails with an `OSError` that is ignored) or
+    parked and reported readable goes to `serve`, the one place a handler
+    thread starts; if none can, the connection is closed. A parked
+    connection is watched with `EPOLLIN | EPOLLONESHOT`, so the kernel
+    disarms it as it reports it, and after a reply its handler thread
+    re-arms it with `park`, which does not wake the loop: under `lock`, one
+    epoll call and its expiry in `parked`, or a close once the loop or its
+    server has stopped. The loop closes a connection parked for its
+    server's `timeout`, sleeping until the oldest expiry or, with none
+    parked, one `timeout`. A server's `shutdown` closes its parked ones
+    with `close_parked`. Returns the servers in `nodes` order and
+    `stop_servers`, which closes the pair's other end and joins the loop.
+    As it ends, the loop closes the pooled client sockets to its ports,
+    then shuts every server down: no handler thread starts to read the end
+    of a stream the pool closed.
     """
-    handed: deque[_Connection | _NodeServer] = deque()
-    lock = threading.Lock()  # orders each hand-back against the loop's end
+    if not hasattr(select, "epoll"):
+        raise BootstrapError("the node server needs select.epoll, which only Linux has")
+    armed = select.EPOLLIN | select.EPOLLONESHOT
+    lock = threading.Lock()  # guards `parked`, and orders each park against the loop's end
     running = True
+    parked: dict[int, tuple[_Connection, float]] = {}  # by fd, in the order they expire
 
-    def hand_back(item: _Connection | _NodeServer) -> None:
+    def park(conn: _Connection) -> None:
         with lock:
-            if running:
-                handed.append(item)
-                wake.send(b"\0")
+            if running and not conn.server.closed:
+                fd = conn.sock.fileno()
+                parked[fd] = conn, time.monotonic() + conn.server.timeout
+                (epoll.modify if conn.watched else epoll.register)(fd, armed)
+                conn.watched = True
                 return
-        if isinstance(item, _Connection):
-            item.close()
+        conn.close()
+
+    def close_parked(server: _NodeServer) -> None:
+        with lock:
+            for fd in [fd for fd, (conn, _) in parked.items() if conn.server is server]:
+                parked.pop(fd)[0].close()
 
     servers: list[_NodeServer] = []
     for node in nodes:
         port = cfg.port_of(node.id)
         try:
-            servers.append(_NodeServer((cfg.host, port), node, hand_back))
+            servers.append(_NodeServer((cfg.host, port), node, park, close_parked))
         except OSError as exc:
             for server in servers:
                 server.socket.close()
             raise BootstrapError(
                 f"node {node.id.text} cannot bind {cfg.host}:{port}: {exc}") from exc
     wake, woken = socket.socketpair()
-    selector = selectors.DefaultSelector()
-    selector.register(woken, selectors.EVENT_READ)
-    for server in servers:
-        selector.register(server.socket, selectors.EVENT_READ, server)
-    parked: dict[_Connection, float] = {}  # by the time they expire, and so oldest first
-
-    def unpark(conn: _Connection) -> None:
-        del parked[conn]
-        selector.unregister(conn.sock)
-
-    def take(item: _Connection | _NodeServer) -> None:
-        if isinstance(item, _NodeServer):
-            selector.unregister(item.socket)
-            for dropped in [conn for conn in parked if conn.server is item]:
-                unpark(dropped)
-                dropped.close()
-        elif item.server.closed:
-            item.close()
-        else:
-            parked[item] = time.monotonic() + item.server.timeout
-            selector.register(item.sock, selectors.EVENT_READ, item)
+    epoll = select.epoll()
+    epoll.register(woken, select.EPOLLIN)
+    listeners = {server.socket.fileno(): server for server in servers}
+    for fd in listeners:  # a closed listener leaves the epoll by itself
+        epoll.register(fd, select.EPOLLIN)
+    idle = min((server.timeout for server in servers), default=WIRE_TIMEOUT)
 
     def serve(conn: _Connection) -> None:
         try:
@@ -717,45 +717,44 @@ def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
             conn.close()
 
     def accept() -> None:  # until `wake` is closed, which makes `woken` readable
+        timeout = idle
         try:
             while True:
-                timeout = next(iter(parked.values())) - time.monotonic() if parked else None
-                for key, _ in selector.select(timeout):
-                    item = key.data
-                    if item is None:  # `woken`
-                        if not woken.recv(4096):
-                            return
-                        while handed:
-                            take(handed.popleft())
-                    elif isinstance(item, _NodeServer):
+                for fd, _ in epoll.poll(timeout):
+                    with lock:
+                        entry = parked.pop(fd, None)
+                    if entry is not None:  # disarmed: a request, or the client closed it
+                        serve(entry[0])
+                    elif fd in listeners:
                         try:
-                            sock, _ = item.socket.accept()
+                            sock, _ = listeners[fd].socket.accept()
                         except OSError:
                             continue
-                        serve(_Connection(sock, item))
-                    else:  # a parked connection: a request, or the client closed it
-                        unpark(item)
-                        serve(item)
-                while parked:
-                    conn, expires = next(iter(parked.items()))
-                    if expires > time.monotonic():
-                        break
-                    unpark(conn)
-                    conn.close()
+                        serve(_Connection(sock, listeners[fd]))
+                    elif fd == woken.fileno():
+                        return
+                    # Else a connection `close_parked` closed after the poll.
+                with lock:
+                    timeout, now = idle, time.monotonic()
+                    while parked:
+                        fd, (conn, expires) = next(iter(parked.items()))
+                        if expires > now:
+                            timeout = expires - now
+                            break
+                        del parked[fd]
+                        conn.close()
         finally:  # the client side closes first, and so holds the TIME_WAIT
             _close_pooled({cfg.port_of(server.logical_node.id) for server in servers})
-            for conn in [*parked, *(item for item in handed if isinstance(item, _Connection))]:
-                conn.close()
             for server in servers:
                 server.shutdown()
-            selector.close()
+            epoll.close()
             woken.close()
 
     def stop_servers() -> None:
         nonlocal running
         with lock:
             running = False
-            wake.close()
+        wake.close()
         loop.join()
 
     loop = threading.Thread(target=accept, daemon=True, name="keycube-accept")

@@ -143,6 +143,16 @@ def test_unknown_transport_is_refused():
         NetworkConfig(r=3, transport="pigeon")
 
 
+def test_a_wire_network_without_epoll_is_refused_before_any_bind(monkeypatch):
+    monkeypatch.delattr(select, "epoll")
+    base = free_port_block(2)
+    threads = set(threading.enumerate())
+    with pytest.raises(BootstrapError, match="epoll"):
+        build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base))
+    assert set(threading.enumerate()) <= threads
+    assert_ports_free(base, 2)
+
+
 def test_wire_port_block_may_end_at_65535():
     assert NetworkConfig(r=2, transport=TRANSPORT_WIRE, base_port=65532).port_of(
         NodeId.parse("11")) == 65535
@@ -400,6 +410,13 @@ def test_record_with_string_keywords_is_bad_request(wire_net):
 def test_non_integer_superset_limit_is_bad_request(wire_net):
     resp = requests.get(f"{addr(wire_net, '000')}/superset",
                         params={"keywords": "a", "limit": "x"}, timeout=5)
+    assert_bad_request(resp)
+
+
+@pytest.mark.parametrize("limit", ["1_0", " 7 ", "+3", "\u0663"])  # the last is Arabic-Indic 3
+def test_superset_limit_is_ascii_digits_only(wire_net, limit):
+    resp = requests.get(f"{addr(wire_net, '000')}/superset",
+                        params={"keywords": "a", "limit": limit}, timeout=5)
     assert_bad_request(resp)
 
 
@@ -1334,6 +1351,81 @@ def test_a_handler_thread_that_cannot_start_costs_one_connection(monkeypatch, ca
     assert "cannot serve a connection" in caplog.text
 
 
+class HeldHash:
+    """keyword_bit, except that hashing the keyword "held" waits for `release`."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, word, r):
+        if word == "held":
+            self.entered.set()
+            assert self.release.wait(timeout=10)
+        return keyword_bit(word, r)
+
+
+HELD_PIN = b"GET /pin?keywords=held HTTP/1.1\r\nHost: x\r\n\r\n"  # 0 hops from node 1
+
+
+@contextmanager
+def held_request(net, held):
+    """Send `HELD_PIN` to node 1 on a new socket and yield (socket, handler thread)
+    once the handler is held in the hash."""
+    assert keyword_bit("held", 1) == 0
+    baseline = set(threading.enumerate())
+    with socket.create_connection(("127.0.0.1", net.cfg.base_port + 1), timeout=5) as sock:
+        sock.sendall(HELD_PIN)
+        assert held.entered.wait(timeout=5)
+        [handler] = set(threading.enumerate()) - baseline
+        yield sock, handler
+
+
+def test_one_pooled_socket_serves_200_requests_in_turn():
+    base = free_port_block(2)
+    with build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base)) as net:
+        client = NodeClient(net.cfg.address_of(NodeId(1, 0)))
+        client.info()
+        [sock] = _POOL[("127.0.0.1", base)]
+        for k in range(200):  # each parks the connection, and the next finds it armed
+            assert client.info()["id"] == "0", k
+        assert _POOL[("127.0.0.1", base)] == [sock]
+
+
+def test_a_handler_that_ends_after_its_node_shut_down_closes_its_connection():
+    held = HeldHash()
+    base = free_port_block(2)
+    with build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=base,
+                                     hash_fn=held)) as net:
+        with held_request(net, held) as (sock, handler):
+            net.servers[1].shutdown()
+            held.release.set()
+            lines, body = read_reply(sock)  # the request came before the shutdown
+            assert lines[0] == "HTTP/1.1 200 OK" and json.loads(body)["hops"] == 0
+            assert sock.recv(1) == b""  # closed, not parked again
+            handler.join(timeout=5)
+            assert not handler.is_alive()
+        assert NodeClient(net.cfg.address_of(NodeId(1, 0))).info()["id"] == "0"
+
+
+def test_a_handler_that_ends_after_close_closes_its_connection_and_raises_nothing(
+        monkeypatch):
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+    held = HeldHash()
+    net = build_network(NetworkConfig(r=1, transport=TRANSPORT_WIRE,
+                                      base_port=free_port_block(2), hash_fn=held))
+    with held_request(net, held) as (sock, handler):
+        net.close()  # the loop, and its epoll, end while the handler is held
+        held.release.set()
+        lines, _ = read_reply(sock)
+        assert lines[0] == "HTTP/1.1 200 OK"
+        assert sock.recv(1) == b""
+        handler.join(timeout=5)
+        assert not handler.is_alive()
+    assert raised == []
+
+
 # --- fuzzing the server over a raw socket ---------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -1612,6 +1704,8 @@ ERROR_CASES = {
         NodeId.parse("000"), ["kw0000"], 2.5)),
     "superset limit '3'": (ValueError, lambda net: net.superset_search(
         NodeId.parse("000"), ["kw0000"], "3")),
+    "superset limit -1": (ValueError, lambda net: net.superset_search(
+        NodeId.parse("000"), ["kw0000"], -1)),
     "insert an int cid": (ValueError, lambda net: net.insert(
         5, KEYS_AT_111, start=NodeId.parse("000"))),
     "remove an int cid": (ValueError, lambda net: net.remove(
