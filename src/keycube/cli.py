@@ -38,7 +38,7 @@ from .network import (
     TRANSPORT_WIRE,
     NetworkConfig,
     NodeClient,
-    WireTransport,
+    PeerClients,
     build_network,
     start_node_server,
 )
@@ -147,7 +147,7 @@ def cmd_serve(args, parser) -> int:
             print(f"serving {1 << args.r} nodes on "
                   f"{args.host}:{args.base_port}..{args.base_port + (1 << args.r) - 1}")
         else:
-            node = LogicalNode(NodeState(node_id), WireTransport(cfg), cfg.hash_fn)
+            node = LogicalNode(NodeState(node_id), PeerClients(cfg), cfg.hash_fn)
             _, close = start_node_server(cfg, [node])
             print(f"serving node {node_id.text} on {cfg.address_of(node_id)}")
     except BootstrapError as exc:

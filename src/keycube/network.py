@@ -1,18 +1,17 @@
-"""Complete 2**r-node networks over two interchangeable transports.
+"""Complete 2**r-node networks, in process or over HTTP.
 
-The in-process transport dispatches envelopes by direct call: a sender hands
-its envelope over and never reads it again, so the callee gets the very dict
-the wire would have sent as JSON, whose values were checked where it was built.
-`Network` reads each client reply as the entry node returns it, and
-`QueryResult.from_reply` checks a query reply the same way on both transports.
-So both transports move the same JSON payloads; results are identical by
-construction, not by luck. The wire transport gives every logical node an
-HTTP listener on its own OS port, and one thread accepts for all of a network's
-listeners; legs between nodes are POST /internal/forward.
-The two halves of the format sit side by side: `_ROUTES` turns each request
-into a `LogicalNode` call, and `NodeClient`, the client half, sends each
-such call as that request. A wire `Network`, and the CLI, call a node
-through its `NodeClient` with the method names they would call in process.
+A network's nodes, and `Network`'s client calls, reach a node through one
+peer table, by id value (see `LogicalNode`). In process it lists the nodes
+themselves: a sender hands its envelope over and never reads it again, so
+the callee gets the very dict the wire would have sent as JSON, whose values
+were checked where it was built. On the wire it is a `PeerClients`: each
+node has an HTTP listener on its own OS port, one thread accepts for all of
+a network's listeners, and a leg is POST /internal/forward. Each reply is
+read as the entry returns it, and `QueryResult.from_reply` checks a query
+reply the same way in both modes, so both move the same JSON payloads. The
+two halves of the format sit side by side: `_ROUTES` turns each request into
+a `LogicalNode` call, and `NodeClient` sends each such call, under the same
+method name, as that request.
 
 Every node-to-node leg and every client call goes through `_exchange`,
 which keeps idle sockets in one pool per (host, port), sends each request
@@ -111,31 +110,6 @@ class NetworkConfig:
     def address_of(self, node: NodeId) -> str:
         """Wire address of a node; a pure function of host, base port and id value."""
         return f"http://{self.host}:{self.port_of(node)}"
-
-
-class InProcessTransport:
-    """Direct dispatch: the envelope is handed over to the callee, whose reply comes back as is."""
-
-    def __init__(self, nodes: dict[NodeId, LogicalNode]):
-        self.nodes = nodes
-
-    def call(self, target: NodeId, envelope: dict) -> dict:
-        return self.nodes[target].handle_forward(envelope)
-
-
-class WireTransport:
-    """Node-to-node legs as POST /internal/forward to the neighbor's port.
-
-    Each leg takes an idle socket from `_exchange`'s pool, or opens one,
-    and leaves it there after a whole reply.
-    """
-
-    def __init__(self, cfg: NetworkConfig):
-        self.cfg = cfg
-
-    def call(self, target: NodeId, envelope: dict) -> dict:
-        return _exchange(self.cfg.host, self.cfg.port_of(target), "POST",
-                         "/internal/forward", envelope, envelope.get("visited"))
 
 
 _POOL: dict[tuple[str, int], list[socket.socket]] = {}  # idle client sockets by (host, port)
@@ -607,14 +581,25 @@ _ROUTES = {
 class NodeClient:
     """The client half of the wire format, for the node at `address`.
 
-    `address` is a base URL such as `http://127.0.0.1:9000`. Each method
-    sends the request that `_ROUTES` turns back into the `LogicalNode`
-    method of the same name, and returns the reply's JSON object. A bad
-    address raises `RoutingFailure` when a request is to be sent.
+    `address` is a base URL such as `http://127.0.0.1:9000`, parsed here.
+    Each method sends the request that `_ROUTES` turns back into the
+    `LogicalNode` method of the same name, and returns the reply's JSON
+    object, so a peer table can hold it. A bad address raises
+    `RoutingFailure` when a request is to be sent.
     """
+
+    _bad = None  # why `address` names no http://host:port, raised at each request
 
     def __init__(self, address: str):
         self.address = address
+        try:
+            url = urlsplit(address)
+            self._host, self._port = url.hostname, 80 if url.port is None else url.port
+        except ValueError as exc:  # a port that is not a number or out of range
+            self._bad = str(exc)
+        else:
+            if url.scheme != "http" or not self._host or not self._host.isascii() or not self._port:
+                self._bad = "expected http://host:port"
 
     def info(self) -> dict:
         return self._send("GET", "/info")
@@ -634,15 +619,32 @@ class NodeClient:
         query = urlencode({"keywords": ",".join(keywords), "limit": str(limit)})
         return self._send("GET", "/superset?" + query)
 
-    def _send(self, method: str, path: str, body: dict | None = None) -> dict:
-        try:
-            url = urlsplit(self.address)
-            host, port = url.hostname, url.port
-        except ValueError as exc:  # a port that is not a number or out of range
-            raise RoutingFailure(f"bad node address {self.address!r}: {exc}") from None
-        if url.scheme != "http" or not host or not host.isascii() or port == 0:
-            raise RoutingFailure(f"bad node address {self.address!r}: expected http://host:port")
-        return _exchange(host, 80 if port is None else port, method, path, body)
+    def handle_forward(self, envelope: dict) -> dict:
+        """Send a leg; a failed one raises `RoutingFailure` with the path walked so far."""
+        return self._send("POST", "/internal/forward", envelope, envelope.get("visited"))
+
+    def _send(self, method: str, path: str, body: dict | None = None,
+              visited: list[str] | None = None) -> dict:
+        if self._bad is not None:
+            raise RoutingFailure(f"bad node address {self.address!r}: {self._bad}", visited)
+        return _exchange(self._host, self._port, method, path, body, visited)
+
+
+class PeerClients(dict):
+    """The wire peer table of a network, or of a node served alone: the
+    `NodeClient` of each id value, built when a leg or call first needs it.
+    Two threads that miss one value at once may each build one; either serves.
+    """
+
+    def __init__(self, cfg: NetworkConfig):
+        self.cfg = cfg
+
+    def __missing__(self, value: int) -> NodeClient:
+        # At `cfg.host` as written, as parsing an address would lowercase it.
+        client = self[value] = NodeClient.__new__(NodeClient)
+        client._host, client._port = self.cfg.host, self.cfg.base_port + value
+        client.address = f"http://{client._host}:{client._port}"
+        return client
 
 
 def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
@@ -765,9 +767,9 @@ def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
 class Network:
     """Handle over all 2**r logical nodes plus the client-side API.
 
-    Each client call goes to the start node's entry in `_entries`: the
-    `LogicalNode` itself in process, or its `NodeClient` on the wire, so a
-    query observed here exercises the same code path an external client
+    Each client call goes to the start node's entry in `peers`, the nodes'
+    table (or, for a network of remote nodes, `Network(cfg, {})`, its own),
+    so a query observed here exercises the same code path an external client
     would. Either way the entry's reply is returned, or read, as it is.
     """
 
@@ -778,10 +780,7 @@ class Network:
         self.nodes = nodes
         self.servers = servers or []
         self._stop_servers = stop_servers
-        self._entries: dict[NodeId, LogicalNode | NodeClient] = nodes
-        if cfg.transport == TRANSPORT_WIRE:  # every id, as a wire network's nodes may be remote
-            ids = (NodeId(cfg.r, value) for value in range(1 << cfg.r))
-            self._entries = {node: NodeClient(cfg.address_of(node)) for node in ids}
+        self.peers = next(iter(nodes.values())).peers if nodes else PeerClients(cfg)
 
     # -- client API ---------------------------------------------------------
 
@@ -789,21 +788,21 @@ class Network:
         keywords, start = KeywordSet(keywords), self._start(start)
         if type(cid) is not str:  # refused before any leg; the target checks the rest
             raise ValueError(f"cid must be a string, got {cid!r}")
-        return self._entries[start].client_insert(cid, keywords)
+        return self.peers[start.value].client_insert(cid, keywords)
 
     def remove(self, cid: str, keywords, start: NodeId | None = None) -> dict:
         keywords, start = KeywordSet(keywords), self._start(start)
         if type(cid) is not str:
             raise ValueError(f"cid must be a string, got {cid!r}")
-        return self._entries[start].client_remove(cid, keywords)
+        return self.peers[start.value].client_remove(cid, keywords)
 
     def pin_search(self, start: NodeId, keywords) -> QueryResult:
         keywords, start = KeywordSet(keywords), self._start(start)
-        return QueryResult.from_reply(self._entries[start].client_pin(keywords))
+        return QueryResult.from_reply(self.peers[start.value].client_pin(keywords))
 
     def superset_search(self, start: NodeId, keywords, limit: int) -> QueryResult:
         keywords, start = KeywordSet(keywords), self._start(start)
-        return QueryResult.from_reply(self._entries[start].client_superset(keywords, limit))
+        return QueryResult.from_reply(self.peers[start.value].client_superset(keywords, limit))
 
     def route(self, start: NodeId, target: NodeId) -> QueryResult:
         """Deliver a ping from start to target; measures pure routing cost."""
@@ -847,14 +846,15 @@ class Network:
 
 
 def build_network(cfg: NetworkConfig) -> Network:
-    """Bring up all 2**r nodes over one shared transport and, in wire mode, each with its server."""
+    """Bring up all 2**r nodes over one peer table and, in wire mode, each with its server."""
     wire = cfg.transport == TRANSPORT_WIRE
+    peers = PeerClients(cfg) if wire else []
     nodes: dict[NodeId, LogicalNode] = {}
-    transport = WireTransport(cfg) if wire else InProcessTransport(nodes)
     for value in range(1 << cfg.r):
         node_id = NodeId(cfg.r, value)
-        nodes[node_id] = LogicalNode(NodeState(node_id), transport, cfg.hash_fn)
+        nodes[node_id] = LogicalNode(NodeState(node_id), peers, cfg.hash_fn)
     if not wire:
+        peers += nodes.values()  # in id-value order
         return Network(cfg, nodes)
     return Network(cfg, nodes, *start_node_server(cfg, nodes.values()))
 

@@ -27,6 +27,8 @@ bits and, where the op declares keywords, their list is canonical and
 Each hop is one `handle_forward` call, which takes a routed envelope's
 greedy step itself and calls `_handle` only at the target; `_handle` also
 takes the entry node's first step, and refuses an unknown op in process.
+A step calls the neighbour's `handle_forward` in the node's peer table, at
+the id value `topology.next_hop` gives, or on a walk edge at `value | bit`.
 A walk visit checks its own r and region, the one region check, asks its
 table only if the node holds entries, and steps its children's bits (the
 tree rule `topology._child_bits`) in line. A client reply is checked once, where
@@ -38,7 +40,6 @@ on each id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from .errors import DimensionMismatch, KeycubeError, NotInSupersetRegion, RoutingFailure
 from .node import NodeState
@@ -93,10 +94,15 @@ class QueryResult:
             raise RoutingFailure(f"not a query reply: {exc}") from None
 
 
-class Transport(Protocol):
-    """Delivers an envelope to a node and returns that node's reply.
+class LogicalNode:
+    """Envelope handler bound to one node's state, its peer table and the hash it routes by.
 
-    `call` is a handover: the sender never reads or reuses an envelope after
+    In the peer table, `peers[value].handle_forward(envelope)` delivers a leg
+    to the node with id value `value` and returns its reply: the network's
+    `LogicalNode`s in id-value order in process, and on the wire a
+    `network.PeerClients`, whose entry for a value is that node's `NodeClient`.
+
+    A leg is a handover: the sender never reads or reuses an envelope after
     it, and the callee owns it, appending to its `visited` and, on a walk
     leg, to its `collected`. So in process the envelope itself is handed
     over, and a walk node builds a new leg for each child. An envelope holds
@@ -104,15 +110,9 @@ class Transport(Protocol):
     A reply is the callee's too, and the caller reads it as it is.
     """
 
-    def call(self, target: NodeId, envelope: dict) -> dict: ...
-
-
-class LogicalNode:
-    """Envelope handler bound to one node's state, a transport and the hash it routes by."""
-
-    def __init__(self, state: NodeState, transport: Transport, hash_fn: HashFn):
+    def __init__(self, state: NodeState, peers, hash_fn: HashFn):
         self.state = state
-        self.transport = transport
+        self.peers = peers
         self.hash_fn = hash_fn
         self.id = state.id
         self.text = state.id.text  # computed once: every leg appends or compares it
@@ -160,7 +160,7 @@ class LogicalNode:
             return self._superset_visit(envelope)
         target = envelope["target"]
         if target != self.text:
-            return self.transport.call(next_hop(self.id, _parse_id(target)), envelope)
+            return self.peers[next_hop(self.id, _parse_id(target))[1]].handle_forward(envelope)
         return self._handle(envelope)
 
     def _handle(self, env: dict) -> dict:
@@ -168,7 +168,7 @@ class LogicalNode:
         as is and checking a write's cid; at the entry, take `handle_forward`'s first step."""
         target = env["target"]
         if target != self.text:
-            return self.transport.call(next_hop(self.id, _parse_id(target)), env)
+            return self.peers[next_hop(self.id, _parse_id(target))[1]].handle_forward(env)
         op, visited = env["op"], env["visited"]
         if op == "ping":
             return {"status": "ok", "node": self.text,
@@ -231,14 +231,14 @@ class LogicalNode:
         # handed a leg of its own: a copy of `collected` as it stands and a new
         # path. The keywords list is shared, as no node mutates it.
         if len(collected) < limit and (bits := _child_bits(r, value, query_value)):
-            target, keywords, call = env["target"], env["keywords"], self.transport.call
+            target, keywords, peers = env["target"], env["keywords"], self.peers
             while bits:
                 bit = bits & -bits
                 bits ^= bit
                 leg = {"op": "superset_visit", "target": target, "keywords": keywords,
                        "limit": limit, "collected": collected.copy(), "visited": []}
                 try:
-                    reply = call(tuple.__new__(NodeId, (r, value | bit)), leg)
+                    reply = peers[value | bit].handle_forward(leg)
                 except RoutingFailure as exc:
                     exc.visited = visited + exc.visited  # the whole path walked
                     raise

@@ -1,5 +1,7 @@
+import functools
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +33,19 @@ def wiki_net(wiki_hash):
 
 def make_net(r, **kwargs):
     return build_network(NetworkConfig(r=r, **kwargs))
+
+
+def spy_on_legs(monkeypatch, net, spy):
+    """Send every node-to-node leg of the in-process `net` through `spy(node,
+    envelope)`, which returns the reply as `node`, the leg's callee, would.
+
+    Each node routes by the table returned, in place of `net.peers`; client
+    calls still enter at the nodes themselves.
+    """
+    table = [SimpleNamespace(handle_forward=functools.partial(spy, node)) for node in net.peers]
+    for node in net.nodes.values():
+        monkeypatch.setattr(node, "peers", table)
+    return table
 
 
 def child_env():

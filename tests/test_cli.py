@@ -14,7 +14,7 @@ import pytest
 from keycube import cli
 from keycube.cli import main
 from keycube.errors import ContentNotFound
-from keycube.network import TRANSPORT_WIRE, NetworkConfig, NodeClient, build_network
+from keycube.network import TRANSPORT_WIRE, NetworkConfig, NodeClient, PeerClients, build_network
 from keycube.topology import NodeId, node_for_keywords
 
 from conftest import child_env
@@ -427,3 +427,22 @@ def test_serve_sets_both_signal_handlers_before_it_binds(argv, monkeypatch):
     monkeypatch.setattr(cli, "print", lambda line: events.append(line.split()[0]), raising=False)
     assert main(["serve", *argv, "--base-port", "9000"]) == 0
     assert events == [signal.SIGINT, signal.SIGTERM, "bind", "serving", "wait", "close"]
+
+
+def test_serve_node_id_builds_each_peer_client_on_its_first_use(monkeypatch):
+    # A node served alone at r=15 has 32,768 possible peers; its table builds none up front.
+    hosted = []
+
+    def bind(cfg, nodes):
+        hosted.extend(nodes)
+        return [], lambda: None
+
+    monkeypatch.setattr(cli, "start_node_server", bind)
+    monkeypatch.setattr(cli, "threading", SimpleNamespace(
+        Event=lambda: SimpleNamespace(set=lambda: None, wait=lambda: None)))
+    monkeypatch.setattr(cli.signal, "signal", lambda signum, handler: None)
+    assert main(["serve", "--r", "15", "--node-id", "1" + "0" * 14, "--base-port", "1000"]) == 0
+    [node] = hosted
+    assert type(node.peers) is PeerClients and len(node.peers) == 0
+    assert node.peers[3].address == "http://127.0.0.1:1003"
+    assert [*node.peers] == [3]

@@ -10,7 +10,6 @@ import threading
 import time
 from contextlib import contextmanager
 from http import HTTPStatus
-from types import SimpleNamespace
 from urllib.parse import parse_qs, urlencode, urlsplit
 
 import pytest
@@ -36,7 +35,7 @@ from keycube.network import (
     Network,
     NetworkConfig,
     NodeClient,
-    WireTransport,
+    PeerClients,
     _close_pooled,
     _exchange,
     _NodeServer,
@@ -44,8 +43,10 @@ from keycube.network import (
     build_network,
     experiment_keywords,
     populate,
+    start_node_server,
 )
-from keycube.query import ENVELOPE_FIELDS
+from keycube.node import NodeState
+from keycube.query import ENVELOPE_FIELDS, LogicalNode
 from keycube.topology import (
     KeywordSet,
     NodeId,
@@ -55,7 +56,7 @@ from keycube.topology import (
     superset_region,
 )
 
-from conftest import make_net
+from conftest import make_net, spy_on_legs
 
 
 def free_port_block(size):
@@ -988,7 +989,7 @@ def test_forward_leg_sends_the_envelope_as_json():
     reply = {"cids": ["cid-x"], "hops": 0, "visited": ["0"]}
     with StandInNode(json.dumps(reply).encode()) as node:
         cfg = NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=node.port)
-        assert WireTransport(cfg).call(NodeId(1, 0), env) == reply
+        assert PeerClients(cfg)[0].handle_forward(env) == reply
     assert node.request_line == "POST /internal/forward HTTP/1.1"
     assert node.body_sent == json.dumps(env).encode()
     assert int(node.headers["content-length"]) == len(node.body_sent)
@@ -1040,8 +1041,41 @@ def test_unusable_reply_is_a_routing_failure_with_the_path(case):
     with StandInNode(raw=BROKEN_REPLIES[case]) as node:
         cfg = NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=node.port)
         with pytest.raises(RoutingFailure, match="/internal/forward") as info:
-            WireTransport(cfg).call(NodeId(1, 0), env)
+            PeerClients(cfg)[0].handle_forward(env)
     assert info.value.visited == ["0"]
+
+
+def test_wire_peers_keep_the_configured_host_as_written(monkeypatch):
+    # A leg, and a wire `Network`'s client call, goes to (cfg.host, cfg.port_of(id))
+    # with the host as written, so its Host header is too: parsing an address
+    # would lowercase it.
+    sent = []
+    monkeypatch.setattr(network, "_exchange", lambda *request: sent.append(request) or {})
+    cfg = NetworkConfig(r=3, transport=TRANSPORT_WIRE, host="LocalHost", base_port=9100)
+    env = {"op": "ping", "target": "111", "visited": ["000"]}
+    assert PeerClients(cfg)[5].handle_forward(env) == {}
+    Network(cfg, {}).insert("c", ["a"], start=NodeId(3, 6))
+    assert sent == [
+        ("LocalHost", cfg.port_of(NodeId(3, 5)), "POST", "/internal/forward", env, ["000"]),
+        ("LocalHost", cfg.port_of(NodeId(3, 6)), "POST", "/insert", {"cid": "c", "keywords": ["a"]},
+         None)]
+
+
+def test_a_node_served_alone_builds_only_the_clients_its_legs_reach():
+    # As `keycube serve --node-id` hosts a node: with a peer table of its own,
+    # which builds a neighbour's client on the first leg to it.
+    cfg = NetworkConfig(r=3, transport=TRANSPORT_WIRE, base_port=free_port_block(8))
+    nodes = [LogicalNode(NodeState(NodeId(3, value)), PeerClients(cfg), cfg.hash_fn)
+             for value in range(8)]
+    _, stop_servers = start_node_server(cfg, nodes)
+    try:
+        reply = NodeClient(cfg.address_of(NodeId(3, 0))).client_pin(KEYS_AT_111)
+    finally:
+        stop_servers()
+    assert reply["visited"] == ["000", "100", "110", "111"]
+    # 000 sent a leg to 100 (value 1), 100 to 110 (value 3) and 110 to 111 (value 7).
+    assert [sorted(node.peers) for node in nodes] == [[1], [3], [], [7], [], [], [], []]
+    assert all(type(client) is NodeClient for node in nodes for client in node.peers.values())
 
 
 def test_routing_failure_reply_is_reraised_with_its_path():
@@ -1514,10 +1548,10 @@ def test_in_process_legs_are_handed_over(monkeypatch):
     start, target = net.nodes[NodeId.parse("011")], net.nodes[NodeId.parse("111")]
     legs = []
     handled = []
-    call, handle = start.transport.call, target.handle_forward
+    handle = target.handle_forward
 
-    def spy_call(node_id, envelope):
-        reply = call(node_id, envelope)
+    def spy_call(node, envelope):
+        reply = node.handle_forward(envelope)
         legs.append((envelope, reply))
         return reply
 
@@ -1526,7 +1560,7 @@ def test_in_process_legs_are_handed_over(monkeypatch):
         handled.append((envelope, reply))
         return reply
 
-    monkeypatch.setattr(start.transport, "call", spy_call)
+    spy_on_legs(monkeypatch, net, spy_call)
     monkeypatch.setattr(target, "handle_forward", spy_handle)
     net.pin_search(start.id, KEYS_AT_111)
     [(sent, received)] = legs  # one hop: 011 and 111 differ in one bit
@@ -1550,7 +1584,7 @@ def test_in_process_client_replies_are_returned_as_built(entry, start, monkeypat
     net = make_net(3)
     node = net.nodes[NodeId.parse(start)]
     returned, sent, arrived = [], [], []
-    call, send = getattr(node, entry), node.transport.call
+    call = getattr(node, entry)
 
     def spy_entry(*args):
         returned.append(call(*args))
@@ -1558,14 +1592,14 @@ def test_in_process_client_replies_are_returned_as_built(entry, start, monkeypat
 
     def spy_send(target, envelope):
         sent.append(envelope)
-        return send(target, envelope)
+        return target.handle_forward(envelope)
 
     def spy_handle(handle, envelope):
         arrived.append(envelope)
         return handle(envelope)
 
     monkeypatch.setattr(node, entry, spy_entry)
-    monkeypatch.setattr(node.transport, "call", spy_send)  # the transport all nodes share
+    spy_on_legs(monkeypatch, net, spy_send)
     for other in net.nodes.values():
         monkeypatch.setattr(other, "handle_forward",
                             functools.partial(spy_handle, other.handle_forward))
@@ -1614,14 +1648,13 @@ def test_sibling_walk_legs_are_distinct_dicts_with_their_own_lists(monkeypatch):
     for cid, value in (("at-100", 1), ("at-110", 3), ("at-111", 7)):
         net.insert(cid, [word for word in KEYS_AT_111 if value >> keyword_bit(word, 3) & 1])
     legs = []
-    call = net.nodes[NodeId.parse("000")].transport.call
 
     def spy_call(target, envelope):
         if envelope["op"] == "superset_visit":
             legs.append((target.text, envelope, json.loads(json.dumps(envelope))))
-        return call(target, envelope)
+        return target.handle_forward(envelope)
 
-    monkeypatch.setattr(net.nodes[NodeId.parse("000")].transport, "call", spy_call)
+    spy_on_legs(monkeypatch, net, spy_call)
     result = net.superset_search(NodeId.parse("000"), [key], 10)
     assert result.cids == ("at-100", "at-110", "at-111")
     assert [(text, sent["collected"], sent["visited"]) for text, _, sent in legs] == [
@@ -1828,8 +1861,8 @@ def test_leg_envelopes_are_json_exact_and_match_across_transports(twin_nets, mon
         legs[transport] = [*seen]
         seen.clear()
         with pytest.raises(KeycubeError, match="unknown op 'bogus'"):
-            net.nodes[start].transport.call(start, {"op": "bogus", "target": "110",
-                                                    "visited": []})
+            net.nodes[start].peers[start.value].handle_forward({"op": "bogus", "target": "110",
+                                                                "visited": []})
         unknown_legs[transport] = seen
     assert all(exact for _, _, exact in legs["in-process"] + unknown_legs["in-process"])
     assert legs["in-process"] == legs["wire"]
@@ -1875,20 +1908,17 @@ def seeded_queries(net, rng, count):
         yield net.route(start, NodeId(r, rng.randrange(1 << r)))
 
 
-def test_hops_are_the_path_length_and_no_leg_carries_them():
+def test_hops_are_the_path_length_and_no_leg_carries_them(monkeypatch):
     net = make_net(8)
     legs = []
-    call = net.nodes[NodeId(8, 0)].transport.call  # the transport all nodes share
 
     def recording_call(target, envelope):
         sent = json.loads(json.dumps(envelope))  # the callee appends to the leg it is handed
-        reply = call(target, envelope)
+        reply = target.handle_forward(envelope)
         legs.append((sent, reply))
         return reply
 
-    recorder = SimpleNamespace(call=recording_call)
-    for node in net.nodes.values():
-        node.transport = recorder
+    spy_on_legs(monkeypatch, net, recording_call)
     gone = populate(net, 200, seed=4)[0]
     far = NodeId(8, 255 - node_for_keywords(gone.keywords, 8).value)
     assert net.remove(gone.cid, gone.keywords, start=far)["status"] == "removed"

@@ -27,7 +27,7 @@ from keycube.topology import (
     superset_region,
 )
 
-from conftest import make_net
+from conftest import make_net, spy_on_legs
 from test_network import free_port_block
 
 
@@ -197,40 +197,31 @@ def test_superset_visited_follows_region_order_exactly():
                 assert tree_nodes == region[:len(tree_nodes)]
 
 
-class RecordingTransport:
-    """Wraps a transport and keeps a copy of every envelope sent and its reply."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.legs = []
-
-    def call(self, target, envelope):
-        sent = json.loads(json.dumps(envelope))
-        reply = self.inner.call(target, envelope)
-        self.legs.append((sent, reply))
-        return reply
-
-
-def test_superset_walk_envelopes_stay_small():
+def test_superset_walk_envelopes_stay_small(monkeypatch):
     r = 8
     net = make_net(r)
     populate(net, 300, seed=21)
-    recorder = RecordingTransport(net.nodes[NodeId(r, 0)].transport)
-    for node in net.nodes.values():
-        node.transport = recorder
+    legs = []  # a copy of every envelope sent, with its reply
+
+    def record(node, envelope):
+        sent = json.loads(json.dumps(envelope))
+        reply = node.handle_forward(envelope)
+        legs.append((sent, reply))
+        return reply
+
+    spy_on_legs(monkeypatch, net, record)
     universe = experiment_keywords(r)
     hops = 0
     for word in universe[::4]:
         for limit in (5, 10**6):
             hops += net.superset_search(NodeId(r, 0), [word], limit).hops
-    visits = [(env, reply) for env, reply in recorder.legs
-              if env["op"] == "superset_visit"]
+    visits = [(env, reply) for env, reply in legs if env["op"] == "superset_visit"]
     assert visits
     for env, _ in visits:
         assert env["visited"] == []
         assert len(env["collected"]) <= env["limit"]
         assert env["target"] == node_for_keywords(env["keywords"], r).text  # the walk root
-    assert sum(len(reply["visited"]) for _, reply in recorder.legs) <= hops * (r + 1)
+    assert sum(len(reply["visited"]) for _, reply in legs) <= hops * (r + 1)
 
 
 class CountingHash:
@@ -384,14 +375,14 @@ def test_a_node_holding_a_cid_twice_still_fills_the_quota_locally(transport):
 def test_walk_leg_to_a_node_outside_the_region_is_refused():
     # The visit checks its region itself, whether or not it asks its table.
     net = make_net(3, hash_fn=TableHash({"kw": 0, "other": 1}))
-    transport = net.nodes[NodeId.parse("100")].transport
+    peer = net.nodes[NodeId.parse("100")].peers[NodeId.parse("010").value]
     for stored in (False, True):
         if stored:
             net.insert("cid-other", ["other"])  # stored at 010
         leg = {"op": "superset_visit", "target": "100", "keywords": ["kw"], "limit": 5,
                "collected": [], "visited": []}  # a new leg per call: the callee owns it
         with pytest.raises(NotInSupersetRegion):
-            transport.call(NodeId.parse("010"), leg)
+            peer.handle_forward(leg)
 
 
 ROUTED_OTHER_R = {  # hand-built legs whose target has r=4 bits on an r=3 network
@@ -407,13 +398,11 @@ def test_leg_whose_target_has_another_r_is_refused_at_its_first_hop(op, monkeypa
     # A routed hop takes the greedy step itself: a target of another r must stop
     # it at once, not send it round the cube.
     net = make_net(3)
-    transport = net.nodes[NodeId.parse("000")].transport
     called = []
-    call = transport.call
-    monkeypatch.setattr(transport, "call",
-                        lambda target, env: called.append(target.text) or call(target, env))
+    peers = spy_on_legs(monkeypatch, net,
+                        lambda node, env: called.append(node.text) or node.handle_forward(env))
     with pytest.raises(DimensionMismatch, match="r=3 vs r=4"):
-        transport.call(NodeId.parse("011"), {**ROUTED_OTHER_R[op], "visited": []})
+        peers[NodeId.parse("011").value].handle_forward({**ROUTED_OTHER_R[op], "visited": []})
     assert called == ["011"]
 
 
@@ -472,9 +461,11 @@ def _calls_per_hop(searches) -> float:
 def test_in_process_hops_stay_within_a_call_budget():
     # Every in-process hop is one leg, so a walk's or a pin's cost is set by the
     # fixed calls per leg. r=12 as in the cube12 benchmark. On 3.11 to 3.13 they
-    # measure 4.19 and 4.83. A hop is the transport's call, which hands the
-    # envelope over as it is, and `handle_forward`, which takes a routed step
-    # itself with `next_hop`. A walk visit adds `_superset_visit`, which checks
+    # measure 3.19 and 3.83. A hop is the callee's `handle_forward`, which the
+    # sender finds in its peer table by id value and calls with the envelope as
+    # it is, with no frame between the two nodes. A routed step adds `_parse_id`,
+    # which reads the target, and `next_hop`, which gives the next value. A walk
+    # visit adds `_superset_visit`, which checks
     # its region, asks its table only if the node holds entries, and steps its
     # children's bits from `_child_bits` in line; its table picks the matching
     # entries with no Python call per entry. A query's words are hashed, and
@@ -489,8 +480,8 @@ def test_in_process_hops_stay_within_a_call_budget():
              for word in universe[:6]]
     pins = [functools.partial(net.pin_search, NodeId(r, rng.randrange(1 << r)),
                               random_keyset(rng, universe, r)) for _ in range(40)]
-    assert _calls_per_hop(walks) <= 4.29
-    assert _calls_per_hop(pins) <= 5.77
+    assert _calls_per_hop(walks) <= 3.29
+    assert _calls_per_hop(pins) <= 3.93
     # A write's fixed cost, measured at 0 hops: 8 calls on 3.11 to 3.13. The
     # client call, its words and start, the entry node's envelope with the words
     # hashed once, the target's answer with its inline cid check, and the table;
@@ -509,13 +500,11 @@ def test_unknown_op_is_refused_at_its_target(start, monkeypatch):
     # Only a hand-built envelope carries an unknown op in process (the wire
     # decode refuses one with a 400): it is routed like any other op.
     net = make_net(3)
-    transport = net.nodes[NodeId.parse(start)].transport
     called = []
-    call = transport.call
-    monkeypatch.setattr(transport, "call",
-                        lambda target, env: called.append(target.text) or call(target, env))
+    peers = spy_on_legs(monkeypatch, net,
+                        lambda node, env: called.append(node.text) or node.handle_forward(env))
     env = {"op": "bogus", "target": "110", "visited": []}
     with pytest.raises(KeycubeError, match="unknown op 'bogus'") as err:
-        transport.call(NodeId.parse(start), env)
+        peers[NodeId.parse(start).value].handle_forward(env)
     assert type(err.value) is KeycubeError
     assert called == ([start] if start == "110" else ["000", "100", "110"])
