@@ -40,6 +40,7 @@ from .network import (
     NodeClient,
     PeerClients,
     build_network,
+    host_port,
     start_node_server,
 )
 from .node import NodeState
@@ -144,8 +145,8 @@ def cmd_serve(args, parser) -> int:
         signal.signal(signal.SIGTERM, lambda *_: stop.set())
         if node_id is None:
             close = build_network(cfg).close
-            print(f"serving {1 << args.r} nodes on "
-                  f"{args.host}:{args.base_port}..{args.base_port + (1 << args.r) - 1}")
+            last = args.base_port + (1 << args.r) - 1
+            print(f"serving {1 << args.r} nodes on {host_port(args.host, args.base_port)}..{last}")
         else:
             node = LogicalNode(NodeState(node_id), PeerClients(cfg), cfg.hash_fn)
             _, close = start_node_server(cfg, [node])

@@ -19,13 +19,13 @@ in one write and frames each reply by its Content-Length. The server side
 mirrors it with a plain listener per node and a connection that owns its
 read buffer: `_read_head` reads each request head without `http.client`'s
 header parser, keeping only the fields the server reads, every request's
-body is read once, one table (`_ROUTES`) picks the node call by method
-and path, one place chooses each reply, and each reply goes out in one
-write. A head it refuses gets a JSON `BadRequest` reply. Each request
-that arrives is served on a thread started for it, which then re-arms
-its connection in the accept loop's epoll (Linux only) without waking the
-loop. There it waits, holding no thread, and is closed once it has been
-idle for `WIRE_TIMEOUT`.
+body is read once, one table (`_ROUTES`) picks the node call by method and
+path, one place chooses each reply, and each reply goes out in one write. A
+head it refuses gets a JSON `BadRequest` reply. Each request that arrives
+is served on a thread started for it, which then re-arms its connection in
+the accept loop's epoll (Linux only) without waking the loop. There it
+waits, holding no thread, until it is idle for `WIRE_TIMEOUT` or its server
+shuts down, which the loop's one lock orders against each park.
 
 Per node, wire mode:
     POST /insert            {"cid": str, "keywords": [str]}
@@ -109,7 +109,12 @@ class NetworkConfig:
 
     def address_of(self, node: NodeId) -> str:
         """Wire address of a node; a pure function of host, base port and id value."""
-        return f"http://{self.host}:{self.port_of(node)}"
+        return f"http://{host_port(self.host, self.port_of(node))}"
+
+
+def host_port(host: str, port: int) -> str:
+    """`host:port`, with an IPv6 literal in brackets (RFC 3986 section 3.2.2)."""
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
 
 
 _POOL: dict[tuple[str, int], list[socket.socket]] = {}  # idle client sockets by (host, port)
@@ -155,18 +160,19 @@ def _close_pooled(ports: Container[int]) -> None:
 atexit.register(_close_pooled, range(1 << 16))  # those no accept loop's end reached
 
 
-def _read_reply(sock: socket.socket, data: bytes) -> bytes:
-    """Read on from `data` until one reply is whole by its Content-Length, or the node closes."""
+def _read_reply(sock: socket.socket, data: bytes) -> tuple[bytearray, re.Match | None, bytearray]:
+    """Read on from `data` until one reply is whole by its Content-Length, or the node closes:
+    its head, the head's `_REPLY_HEAD` match (None if none, or if cut short) and its body."""
     reply = bytearray(data)
     while True:
         end = reply.find(b"\r\n\r\n")
         if end >= 0:
             framing = _REPLY_HEAD.match(reply, 0, end)
             if framing is None or len(reply) >= end + 4 + int(framing[2]):
-                return bytes(reply)
+                return reply[:end], framing, reply[end + 4:]
         chunk = sock.recv(65536)
         if not chunk:
-            return bytes(reply)
+            return reply, None, bytearray()
         reply += chunk
 
 
@@ -186,8 +192,9 @@ def _exchange(host: str, port: int, method: str, path: str, body: dict | None = 
     HTTP, not as long as its Content-Length or not a JSON object, raises
     `RoutingFailure` with `visited`, the path walked so far.
     """
-    where = f"{method} {path} to {host}:{port}"
-    request = f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
+    authority = host_port(host, port)
+    where = f"{method} {path} to {authority}"
+    request = f"{method} {path} HTTP/1.1\r\nHost: {authority}\r\n"
     data = b"" if body is None else json.dumps(body, allow_nan=False).encode("utf-8")
     if body is not None:
         request += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
@@ -208,9 +215,7 @@ def _exchange(host: str, port: int, method: str, path: str, body: dict | None = 
             sock = socket.create_connection(key, timeout=WIRE_TIMEOUT)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.sendall(request)
-        reply = _read_reply(sock, reply)
-        head, _, raw = reply.partition(b"\r\n\r\n")
-        framing = _REPLY_HEAD.match(head)
+        head, framing, raw = _read_reply(sock, reply)
         try:
             payload = json.loads(raw)
         except (ValueError, RecursionError):
@@ -232,29 +237,22 @@ def _exchange(host: str, port: int, method: str, path: str, body: dict | None = 
 
 
 class _NodeServer:
-    """One node's listener, with its accept loop's `park` and `close_parked`."""
+    """One node's listener, with its accept loop's `park` and `shutdown`."""
 
     timeout = WIRE_TIMEOUT  # seconds a connection may stall in a request or sit parked
-    closed = False  # set by the first `shutdown`: from then on no request is served
+    closed = False  # set by the first `shutdown`, under the loop's lock: no request is served after
 
     def __init__(self, address: tuple[str, int], node: LogicalNode,
-                 park: Callable[[_Connection], None],
-                 close_parked: Callable[[_NodeServer], None]):
-        self.socket = socket.create_server(address)
+                 park: Callable[[_Connection], None], shutdown: Callable[[_NodeServer], None]):
+        family = socket.AF_INET6 if ":" in address[0] else socket.AF_INET  # a name is IPv4
+        self.socket = socket.create_server(address, family=family)
         self.logical_node = node
         self.park = park
-        self.close_parked = close_parked
-        self._closing = threading.Lock()
+        self._shutdown = shutdown
 
     def shutdown(self) -> None:
-        """Stop serving for this node at once: close the listener, then this node's
-        parked connections. Idempotent, from any thread."""
-        with self._closing:
-            if self.closed:
-                return
-            self.closed = True
-        self.socket.close()
-        self.close_parked(self)
+        """Under the loop's lock, set `closed` and close the listener and parked connections."""
+        self._shutdown(self)
 
 
 class _BadHead(Exception):
@@ -643,7 +641,7 @@ class PeerClients(dict):
         # At `cfg.host` as written, as parsing an address would lowercase it.
         client = self[value] = NodeClient.__new__(NodeClient)
         client._host, client._port = self.cfg.host, self.cfg.base_port + value
-        client.address = f"http://{client._host}:{client._port}"
+        client.address = f"http://{host_port(client._host, client._port)}"
         return client
 
 
@@ -660,27 +658,27 @@ def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
     thread starts; if none can, the connection is closed. A parked
     connection is watched with `EPOLLIN | EPOLLONESHOT`, so the kernel
     disarms it as it reports it, and after a reply its handler thread
-    re-arms it with `park`, which does not wake the loop: under `lock`, one
-    epoll call and its expiry in `parked`, or a close once the loop or its
-    server has stopped. The loop closes a connection parked for its
-    server's `timeout`, sleeping until the oldest expiry or, with none
-    parked, one `timeout`. A server's `shutdown` closes its parked ones
-    with `close_parked`. Returns the servers in `nodes` order and
-    `stop_servers`, which closes the pair's other end and joins the loop.
-    As it ends, the loop closes the pooled client sockets to its ports,
-    then shuts every server down: no handler thread starts to read the end
-    of a stream the pool closed.
+    re-arms it with `park`, which does not wake the loop. The loop closes a
+    connection parked for its server's `timeout`, sleeping until the oldest
+    expiry or, with none parked, one `timeout`. Under the one `lock`, `park`
+    makes one epoll call and records the expiry in `parked` unless the server
+    is `closed`, when it closes the connection, and a server's `shutdown` sets
+    `closed` and closes its listener and parked connections. Returns the
+    servers in `nodes` order and `stop_servers`, which closes the pair's other
+    end and joins the loop. As it ends, the loop closes the pooled client
+    sockets to its ports, then shuts every server down before closing its
+    epoll: no park reaches a closed epoll, and no handler thread starts to
+    read the end of a stream the pool closed.
     """
     if not hasattr(select, "epoll"):
         raise BootstrapError("the node server needs select.epoll, which only Linux has")
     armed = select.EPOLLIN | select.EPOLLONESHOT
-    lock = threading.Lock()  # guards `parked`, and orders each park against the loop's end
-    running = True
+    lock = threading.Lock()  # guards `parked` and every server's `closed`
     parked: dict[int, tuple[_Connection, float]] = {}  # by fd, in the order they expire
 
     def park(conn: _Connection) -> None:
         with lock:
-            if running and not conn.server.closed:
+            if not conn.server.closed:
                 fd = conn.sock.fileno()
                 parked[fd] = conn, time.monotonic() + conn.server.timeout
                 (epoll.modify if conn.watched else epoll.register)(fd, armed)
@@ -688,8 +686,12 @@ def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
                 return
         conn.close()
 
-    def close_parked(server: _NodeServer) -> None:
+    def shutdown(server: _NodeServer) -> None:
         with lock:
+            if server.closed:
+                return
+            server.closed = True
+            server.socket.close()
             for fd in [fd for fd, (conn, _) in parked.items() if conn.server is server]:
                 parked.pop(fd)[0].close()
 
@@ -697,12 +699,12 @@ def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
     for node in nodes:
         port = cfg.port_of(node.id)
         try:
-            servers.append(_NodeServer((cfg.host, port), node, park, close_parked))
+            servers.append(_NodeServer((cfg.host, port), node, park, shutdown))
         except OSError as exc:
             for server in servers:
                 server.socket.close()
             raise BootstrapError(
-                f"node {node.id.text} cannot bind {cfg.host}:{port}: {exc}") from exc
+                f"node {node.id.text} cannot bind {host_port(cfg.host, port)}: {exc}") from exc
     wake, woken = socket.socketpair()
     epoll = select.epoll()
     epoll.register(woken, select.EPOLLIN)
@@ -735,7 +737,7 @@ def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
                         serve(_Connection(sock, listeners[fd]))
                     elif fd == woken.fileno():
                         return
-                    # Else a connection `close_parked` closed after the poll.
+                    # Else a connection a `shutdown` closed after the poll.
                 with lock:
                     timeout, now = idle, time.monotonic()
                     while parked:
@@ -747,15 +749,12 @@ def start_node_server(cfg: NetworkConfig, nodes: Iterable[LogicalNode]
                         conn.close()
         finally:  # the client side closes first, and so holds the TIME_WAIT
             _close_pooled({cfg.port_of(server.logical_node.id) for server in servers})
-            for server in servers:
-                server.shutdown()
+            for server in servers:  # after this, every park closes its connection
+                shutdown(server)
             epoll.close()
             woken.close()
 
     def stop_servers() -> None:
-        nonlocal running
-        with lock:
-            running = False
         wake.close()
         loop.join()
 

@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import random
 import re
 import select
@@ -46,7 +47,7 @@ from keycube.network import (
     start_node_server,
 )
 from keycube.node import NodeState
-from keycube.query import ENVELOPE_FIELDS, LogicalNode
+from keycube.query import ENVELOPE_FIELDS, LogicalNode, QueryResult
 from keycube.topology import (
     KeywordSet,
     NodeId,
@@ -59,17 +60,21 @@ from keycube.topology import (
 from conftest import make_net, spy_on_legs
 
 
-def free_port_block(size):
+def family_of(host):
+    return socket.AF_INET6 if ":" in host else socket.AF_INET
+
+
+def free_port_block(size, host="127.0.0.1"):
     """Find a base port with `size` consecutive free ports on loopback."""
     for base in range(20000, 40000, 256):
         try:
             socks = []
             for offset in range(size):
-                s = socket.socket()
+                s = socket.socket(family_of(host))
                 socks.append(s)  # before bind, so a failed bind's socket is closed too
                 # As a node server binds: a port in TIME_WAIT is not taken.
                 s.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                s.bind(("127.0.0.1", base + offset))
+                s.bind((host, base + offset))
             for s in socks:
                 s.close()
             return base
@@ -77,6 +82,17 @@ def free_port_block(size):
             for s in socks:
                 s.close()
     raise RuntimeError("no free port block found")
+
+
+def can_bind(host):
+    try:
+        socket.create_server((host, 0), family=family_of(host)).close()
+    except OSError:
+        return False
+    return True
+
+
+needs_ipv6 = pytest.mark.skipif(not can_bind("::1"), reason="::1 cannot be bound here")
 
 
 # --- build -------------------------------------------------------------------
@@ -95,6 +111,8 @@ def test_wire_addresses_follow_port_rule():
     cfg = NetworkConfig(r=3, transport=TRANSPORT_WIRE, base_port=9500)
     assert cfg.address_of(NodeId.parse("000")) == "http://127.0.0.1:9500"
     assert cfg.address_of(NodeId.parse("101")) == "http://127.0.0.1:9505"
+    cfg = NetworkConfig(r=3, transport=TRANSPORT_WIRE, host="::1", base_port=9500)
+    assert cfg.address_of(NodeId.parse("101")) == "http://[::1]:9505"  # RFC 3986 section 3.2.2
 
 
 def test_duplicate_port_raises_bootstrap_error():
@@ -950,11 +968,11 @@ class StandInNode:
     has ended.
     """
 
-    def __init__(self, body=b"", raw=None):
-        self.listener = socket.create_server(("127.0.0.1", 0))
+    def __init__(self, body=b"", raw=None, host="127.0.0.1"):
+        self.listener = socket.create_server((host, 0), family=family_of(host))
         self.listener.settimeout(5)  # accept gives up if no client comes
         self.port = self.listener.getsockname()[1]
-        self.address = f"http://127.0.0.1:{self.port}"
+        self.address = f"http://{f'[{host}]' if ':' in host else host}:{self.port}"
         self.reply = http_reply(body) if raw is None else raw
         self.request_line = self.headers = self.body_sent = None
         self.thread = threading.Thread(target=self._answer_one, daemon=True)
@@ -1059,6 +1077,35 @@ def test_wire_peers_keep_the_configured_host_as_written(monkeypatch):
         ("LocalHost", cfg.port_of(NodeId(3, 5)), "POST", "/internal/forward", env, ["000"]),
         ("LocalHost", cfg.port_of(NodeId(3, 6)), "POST", "/insert", {"cid": "c", "keywords": ["a"]},
          None)]
+
+
+@needs_ipv6
+def test_a_leg_to_an_ipv6_host_names_it_in_brackets():
+    with StandInNode(b'{"id": "0"}', host="::1") as node:
+        cfg = NetworkConfig(r=1, transport=TRANSPORT_WIRE, host="::1", base_port=node.port)
+        client = PeerClients(cfg)[0]
+        assert client.address == node.address == f"http://[::1]:{node.port}"
+        assert client.info() == {"id": "0"}
+    assert node.headers["host"] == f"[::1]:{node.port}"
+    _close_pooled(range(node.port, node.port + 1))
+
+
+@needs_ipv6
+def test_a_wire_network_on_ipv6_loopback_answers_as_in_process():
+    twin = make_net(3)
+    populate(twin, 24, seed=8)
+    cfg = NetworkConfig(r=3, transport=TRANSPORT_WIRE, host="::1",
+                        base_port=free_port_block(8, "::1"))
+    with build_network(cfg) as net:
+        populate(net, 24, seed=8)
+        assert net.cfg.address_of(NodeId(3, 5)) == f"http://[::1]:{cfg.base_port + 5}"
+        assert NodeClient(net.cfg.address_of(NodeId(3, 5))).info()["id"] == "101"
+        rng = random.Random(8)
+        for start in net.node_ids:
+            keywords = rng.sample(experiment_keywords(3), rng.randint(1, 2))
+            assert net.pin_search(start, keywords) == twin.pin_search(start, keywords)
+            assert (net.superset_search(start, keywords, 5)
+                    == twin.superset_search(start, keywords, 5))
 
 
 def test_a_node_served_alone_builds_only_the_clients_its_legs_reach():
@@ -1295,6 +1342,47 @@ def test_stray_bytes_after_a_reply_never_reach_a_later_call():
         assert _exchange("127.0.0.1", port, "GET", "/info") == {"n": 2}
 
 
+QUERY_REPLY = http_reply(b'{"cids": ["c"], "hops": 1, "visited": ["0", "1"]}')
+# Cut inside the status line, inside Content-Length's value, at the blank line and
+# inside the body.
+REPLY_CUTS = (QUERY_REPLY.index(b" OK"), QUERY_REPLY.index(b"Content-Length: ") + 17,
+              QUERY_REPLY.index(b"\r\n\r\n") + 2, len(QUERY_REPLY) - 5)
+
+
+def send_in_pieces(conn, reply, cuts):
+    """Send `reply` cut at `cuts`, each piece in its own segment."""
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    for start, end in zip((0, *cuts), (*cuts, len(reply))):
+        time.sleep(0.02)
+        conn.sendall(reply[start:end])
+
+
+def test_a_reply_that_arrives_in_pieces_reads_as_one_sent_at_once():
+    def serve(listener):
+        conn, _ = listener.accept()
+        with conn:
+            read_request(conn)
+            conn.sendall(QUERY_REPLY)
+            read_request(conn)  # on the pooled socket
+            send_in_pieces(conn, QUERY_REPLY, REPLY_CUTS)
+        conn, _ = listener.accept()
+        with conn:
+            read_request(conn)  # on a new socket
+            send_in_pieces(conn, QUERY_REPLY, REPLY_CUTS)
+
+    assert len(REPLY_CUTS) == len(set(REPLY_CUTS)) == 4
+    with scripted_node(serve) as port:
+        net = Network(NetworkConfig(r=1, transport=TRANSPORT_WIRE, base_port=port), {})
+        at_once = net.pin_search(NodeId(1, 0), ["a"])
+        [pooled_socket] = _POOL[("127.0.0.1", port)]
+        assert net.pin_search(NodeId(1, 0), ["a"]) == at_once
+        assert _POOL[("127.0.0.1", port)] == [pooled_socket]
+        _close_pooled(range(port, port + 1))
+        assert net.pin_search(NodeId(1, 0), ["a"]) == at_once
+        assert len(_POOL[("127.0.0.1", port)]) == 1
+    assert at_once == QueryResult(("c",), 1, (NodeId(1, 0), NodeId(1, 1)))
+
+
 def test_a_shut_down_node_answers_no_later_leg():
     base = free_port_block(4)
     with build_network(NetworkConfig(r=2, transport=TRANSPORT_WIRE, base_port=base)) as net:
@@ -1359,6 +1447,63 @@ def test_close_after_traffic_starts_no_thread(monkeypatch):
     net.close()
     assert started == []
     assert pooled(net) == 0
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_shutdowns_racing_traffic_end_every_client_and_leave_nothing_open(monkeypatch):
+    """As a benchmark's teardown does, but while 8 clients pin: every server's
+    `shutdown` from its own thread, then `close`."""
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+    baseline, fds = set(threading.enumerate()), open_fds()
+    net = build_network(NetworkConfig(r=3, transport=TRANSPORT_WIRE,
+                                      base_port=free_port_block(8)))
+    ports = range(net.cfg.base_port, net.cfg.base_port + 8)
+    words = experiment_keywords(3)
+    answered = [threading.Event() for _ in range(8)]
+    ended = [None] * 8
+
+    def client(k):
+        rng = random.Random(k)
+        try:
+            while True:
+                net.pin_search(NodeId(3, rng.randrange(8)), rng.sample(words, 2))
+                answered[k].set()
+        except RoutingFailure as exc:
+            ended[k] = exc
+
+    clients = [threading.Thread(target=client, args=(k,)) for k in range(8)]
+    stoppers = [threading.Thread(target=server.shutdown) for server in net.servers]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads interleave inside park, shutdown and the pool
+    try:
+        for thread in clients:
+            thread.start()
+        assert all(event.wait(timeout=10) for event in answered)
+        time.sleep(0.05)
+        for thread in stoppers:
+            thread.start()
+        for thread in stoppers:
+            thread.join(timeout=5)
+    finally:
+        net.close()
+        sys.setswitchinterval(interval)
+    for thread in clients:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in clients + stoppers)
+    assert raised == []
+    assert all(type(exc) is RoutingFailure for exc in ended), ended
+    deadline = time.monotonic() + 5  # handler threads that are leaving closed connections
+    while set(threading.enumerate()) - baseline and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert set(threading.enumerate()) <= baseline
+    # A client whose reply came before the shutdown may pool its socket after `close`
+    # closed the pool; drop those, so that what is counted is the servers' sockets.
+    _close_pooled(ports)
+    assert open_fds() <= fds
 
 
 def test_a_handler_thread_that_cannot_start_costs_one_connection(monkeypatch, caplog):
